@@ -15,7 +15,9 @@
 //! cargo run --release -p banger-bench --bin bench_serve [-- --quick]
 //! ```
 //!
-//! `--quick` shrinks the measurement budget for CI smoke runs.
+//! `--quick` shrinks the measurement budget for CI smoke runs and
+//! writes `target/BENCH_serve.json` instead, so a smoke run never
+//! replaces the committed full-run record.
 //!
 //! Timings are the **minimum of batch means** (same estimator as the
 //! other bench records): the host is small and noisy; the minimum
@@ -152,6 +154,8 @@ fn main() {
          \"ping_roundtrip_best_ns\": {ping_ns:.0},\n    \
          \"schedule_warm_roundtrip_best_ns\": {sched_rt_ns:.0}\n  }},\n"
     );
+    // Free its handler: the sustained phase measures the whole pool.
+    drop(client);
 
     // ---- sustained throughput under concurrent clients ---------------
     let clients = 4u32;
@@ -185,9 +189,11 @@ fn main() {
         json,
         "  \"sustained\": {{\n    \
          \"clients\": {clients},\n    \
+         \"handlers\": {},\n    \
          \"requests\": {total},\n    \
          \"elapsed_ms\": {},\n    \
          \"req_per_sec\": {req_per_sec:.0}\n  }},\n",
+        banger::serve::server::pool_size(),
         elapsed.as_millis()
     );
 
@@ -207,8 +213,14 @@ fn main() {
     );
 
     print!("{json}");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    eprintln!("wrote BENCH_serve.json");
+    let out = if quick {
+        std::fs::create_dir_all("target").expect("create target/");
+        "target/BENCH_serve.json"
+    } else {
+        "BENCH_serve.json"
+    };
+    std::fs::write(out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
+    eprintln!("wrote {out}");
 
     assert!(
         sched_cold_ns / sched_warm_ns >= 5.0,

@@ -35,6 +35,15 @@
 //! response schemas. A connection carries any number of request frames;
 //! the server answers each with exactly one response frame.
 //!
+//! The daemon serves connections on a fixed pool of
+//! [`pool_size`](server::pool_size) handler threads, one connection per
+//! handler at a time; further connections wait in the listen backlog
+//! until a handler is free. A connection that sends nothing for
+//! [`IDLE_TIMEOUT`](server::IDLE_TIMEOUT) (2 s), between frames or in
+//! the middle of one, or leaves a response unread that long, is closed
+//! without an answer. A long-lived client that idles longer must
+//! reconnect; the CLI's one request per connection never hits it.
+//!
 //! ## Fault containment
 //!
 //! Each request is handled under [`std::panic::catch_unwind`]: a panic

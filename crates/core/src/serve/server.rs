@@ -1,16 +1,25 @@
-//! The daemon: a Unix-domain-socket accept loop, one thread per
-//! client, panic containment per request.
+//! The daemon: a Unix-domain-socket server on a fixed pool of
+//! long-lived handler threads, panic containment per request.
 //!
 //! ## Lifecycle
 //!
 //! [`Server::bind`] claims the socket path (removing a stale socket
-//! file left by a crashed daemon), [`Server::serve`] accepts until
-//! [`Server::request_shutdown`] is called — by a `shutdown` request,
-//! by a signal (see [`install_signal_handlers`]), or programmatically
-//! from a test — then removes the socket file and returns. The accept
-//! loop polls a nonblocking listener (~50 ms period) so shutdown flags
-//! set from signal context are honored promptly without `libc`-level
-//! self-pipe machinery.
+//! file left by a crashed daemon). [`Server::serve`] starts
+//! [`pool_size`] handler threads. Each one blocks in `accept`, serves
+//! that connection's frames itself, and goes back to `accept`: no
+//! thread is spawned per connection and no request path sleeps. A
+//! connection that stays silent for [`IDLE_TIMEOUT`], between frames
+//! or in the middle of one, is dropped, so slow or idle clients cannot
+//! pin the bounded pool for good.
+//!
+//! Shutdown has three triggers: a `shutdown` request, a signal (see
+//! [`install_signal_handlers`]), and a bare store to the flag from
+//! [`Server::shutdown_handle`]. The thread that called `serve` watches
+//! for them; no request waits on it. It then shuts down every live
+//! connection and connects to its own socket once per running handler,
+//! which wakes the handlers blocked in `accept` (glibc's `signal()`
+//! installs handlers with `SA_RESTART`, so a signal alone does not).
+//! `serve` joins the handlers, removes the socket file and returns.
 //!
 //! ## Panic containment
 //!
@@ -23,16 +32,28 @@
 use super::ops;
 use super::protocol::{read_frame, write_frame, Request, Response};
 use super::store::ProjectStore;
+use parking_lot::Mutex;
 use std::io;
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::Duration;
 
-/// Set by the signal handler; checked by every accept loop. Process
-/// global because POSIX signal handlers have no closure state.
+/// How long a connection may stay silent, or leave a response unread,
+/// before the daemon drops it and frees its handler. A long-lived
+/// client that idles longer must reconnect.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How often the thread in [`Server::serve`] checks the shutdown
+/// flags. No request waits on this.
+const WATCH_PERIOD: Duration = Duration::from_millis(20);
+
+/// Set by the signal handler; checked by every server. Process global
+/// because POSIX signal handlers have no closure state.
 static SIGNALED: AtomicBool = AtomicBool::new(false);
 
 /// Installs `SIGINT`/`SIGTERM` handlers that request a clean shutdown
@@ -52,6 +73,13 @@ pub fn install_signal_handlers() {
         signal(SIGINT, on_signal);
         signal(SIGTERM, on_signal);
     }
+}
+
+/// The number of handler threads [`Server::serve`] runs: one per
+/// available CPU, and at least two, so one idle connection cannot
+/// stall every other client.
+pub fn pool_size() -> usize {
+    std::thread::available_parallelism().map_or(2, |n| n.get().max(2))
 }
 
 /// A bound daemon, ready to [`serve`](Server::serve).
@@ -101,62 +129,136 @@ impl Server {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Accepts clients until shutdown is requested, then removes the
-    /// socket file. Each client gets its own thread; client threads
-    /// are detached (the process exits right after `serve` in daemon
-    /// mode, and test servers close their connections first).
+    fn stopping(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst) || SIGNALED.load(Ordering::SeqCst)
+    }
+
+    /// Serves clients on [`pool_size`] handler threads until shutdown
+    /// is requested, then closes every live connection, joins the
+    /// handlers and removes the socket file. Returns the first fatal
+    /// `accept` error, after shutting down the same way.
     pub fn serve(&self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        while !self.shutdown.load(Ordering::SeqCst) && !SIGNALED.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _addr)) => {
-                    let store = Arc::clone(&self.store);
-                    let shutdown = Arc::clone(&self.shutdown);
-                    std::thread::spawn(move || serve_client(stream, &store, &shutdown));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    std::fs::remove_file(&self.socket_path).ok();
-                    return Err(e);
-                }
+        let handlers = pool_size();
+        let pool = Pool {
+            server: self,
+            live: Mutex::new((0..handlers).map(|_| None).collect()),
+            running: AtomicUsize::new(handlers),
+            error: Mutex::new(None),
+            watcher: std::thread::current(),
+        };
+        std::thread::scope(|s| {
+            for slot in 0..handlers {
+                let pool = &pool;
+                s.spawn(move || pool.handle(slot));
             }
-        }
+            pool.watch();
+        });
         std::fs::remove_file(&self.socket_path).ok();
-        Ok(())
+        match pool.error.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
     }
 }
 
-/// One client connection: any number of request frames, one response
-/// frame each. Returns when the client closes, on a transport error,
-/// or after relaying a `shutdown`.
-fn serve_client(mut stream: UnixStream, store: &ProjectStore, shutdown: &AtomicBool) {
-    // Frames are tiny; a blocking read that outlives shutdown is fine
-    // because the daemon process exits (or the test drops its client)
-    // right after serve() returns.
-    loop {
-        let frame = match read_frame(&mut stream) {
-            Ok(Some(f)) => f,
-            Ok(None) => return,
-            Err(_) => return,
-        };
-        let resp = match std::str::from_utf8(&frame) {
-            Err(_) => Response::failure("request frame is not UTF-8"),
-            Ok(text) => match Request::from_json(text) {
-                Err(e) => Response::failure(format!("bad request: {e}")),
-                Ok(req) if req.cmd == "shutdown" => {
-                    shutdown.store(true, Ordering::SeqCst);
-                    let resp = Response::success("shutting down\n");
-                    write_frame(&mut stream, resp.to_json().as_bytes()).ok();
-                    return;
+/// What the handlers of one [`Server::serve`] call share with the
+/// thread that watches for shutdown.
+struct Pool<'a> {
+    server: &'a Server,
+    /// Each handler's current connection, so shutdown can close it.
+    live: Mutex<Vec<Option<UnixStream>>>,
+    /// Handlers that have not returned; shutdown wakes this many.
+    running: AtomicUsize,
+    /// The first fatal `accept` error.
+    error: Mutex<Option<io::Error>>,
+    /// The thread running [`Pool::watch`].
+    watcher: Thread,
+}
+
+impl Pool<'_> {
+    /// Blocks until a shutdown trigger fires, then unblocks every
+    /// handler: live connections are shut down, and each handler
+    /// blocked in `accept` gets a connection to return with.
+    fn watch(&self) {
+        while !self.server.stopping() {
+            std::thread::park_timeout(WATCH_PERIOD);
+        }
+        for stream in self.live.lock().iter().flatten() {
+            stream.shutdown(Shutdown::Both).ok();
+        }
+        for _ in 0..self.running.load(Ordering::SeqCst) {
+            UnixStream::connect(&self.server.socket_path).ok();
+        }
+    }
+
+    /// One handler thread: accept a connection, serve it to the end,
+    /// repeat until shutdown.
+    fn handle(&self, slot: usize) {
+        while !self.server.stopping() {
+            let stream = match self.server.listener.accept() {
+                Ok((stream, _addr)) => stream,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                    ) =>
+                {
+                    continue
                 }
-                Ok(req) => dispatch_guarded(store, &req),
-            },
-        };
-        if write_frame(&mut stream, resp.to_json().as_bytes()).is_err() {
-            return;
+                Err(e) => {
+                    self.error.lock().get_or_insert(e);
+                    self.server.request_shutdown();
+                    self.watcher.unpark();
+                    break;
+                }
+            };
+            // Register before re-checking the flag: either the shutdown
+            // sweep sees this stream, or this check sees the flag.
+            let Ok(registered) = stream.try_clone() else {
+                continue;
+            };
+            self.live.lock()[slot] = Some(registered);
+            if !self.server.stopping()
+                && stream.set_read_timeout(Some(IDLE_TIMEOUT)).is_ok()
+                && stream.set_write_timeout(Some(IDLE_TIMEOUT)).is_ok()
+            {
+                self.serve_client(slot, stream);
+            }
+            self.live.lock()[slot] = None;
+        }
+        self.running.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// One client connection: any number of request frames, one
+    /// response frame each. Returns when the client closes, on a
+    /// transport error or timeout, or after answering a `shutdown`.
+    fn serve_client(&self, slot: usize, mut stream: UnixStream) {
+        let store = &self.server.store;
+        loop {
+            let frame = match read_frame(&mut stream) {
+                Ok(Some(f)) => f,
+                Ok(None) | Err(_) => return,
+            };
+            let resp = match std::str::from_utf8(&frame) {
+                Err(_) => Response::failure("request frame is not UTF-8"),
+                Ok(text) => match Request::from_json(text) {
+                    Err(e) => Response::failure(format!("bad request: {e}")),
+                    Ok(req) if req.cmd == "shutdown" => {
+                        // Unregister first so the shutdown sweep cannot
+                        // cut this answer off.
+                        self.live.lock()[slot] = None;
+                        self.server.request_shutdown();
+                        self.watcher.unpark();
+                        let resp = Response::success("shutting down\n");
+                        write_frame(&mut stream, resp.to_json().as_bytes()).ok();
+                        return;
+                    }
+                    Ok(req) => dispatch_guarded(store, &req),
+                },
+            };
+            if write_frame(&mut stream, resp.to_json().as_bytes()).is_err() {
+                return;
+            }
         }
     }
 }

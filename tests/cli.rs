@@ -914,6 +914,60 @@ fn serve_daemon_round_trip() {
     assert!(!sock.exists(), "socket file removed on shutdown");
 }
 
+/// SIGTERM stops a daemon promptly and cleanly even while a client
+/// holds an idle connection: exit 0, socket file removed.
+#[cfg(unix)]
+#[test]
+fn serve_exits_on_sigterm_with_an_idle_client() {
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
+
+    let sock = std::env::temp_dir().join(format!("banger-cli-sigterm-{}.sock", std::process::id()));
+    std::fs::remove_file(&sock).ok();
+    let child = banger()
+        .args(["serve", "--socket", sock.to_str().unwrap()])
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("daemon starts");
+    let mut guard = DaemonGuard(child);
+    let mut idle = None;
+    for _ in 0..200 {
+        if let Ok(s) = std::os::unix::net::UnixStream::connect(&sock) {
+            idle = Some(s);
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let mut idle = idle.unwrap_or_else(|| panic!("daemon never opened {}", sock.display()));
+    // Half a length prefix: a handler now waits on this connection.
+    idle.write_all(&[0, 0]).unwrap();
+
+    let term = Command::new("kill")
+        .args(["-TERM", &guard.0.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(term.success());
+    let sent = Instant::now();
+    let status = loop {
+        if let Some(status) = guard.0.try_wait().expect("wait on daemon") {
+            break status;
+        }
+        assert!(
+            sent.elapsed() < Duration::from_secs(5),
+            "daemon still running 5 s after SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "daemon exit status {status:?}");
+    assert!(!sock.exists(), "socket file removed on SIGTERM");
+    let mut buf = [0u8; 4];
+    assert_eq!(
+        idle.read(&mut buf).unwrap_or(0),
+        0,
+        "idle connection closed"
+    );
+}
+
 /// Without a daemon, `--connect` falls back to local execution instead
 /// of failing.
 #[cfg(unix)]

@@ -1,11 +1,14 @@
 //! Integration tests for the `banger serve` daemon: concurrent
-//! clients, cache invalidation on rewrite, and panic containment.
+//! clients, cache invalidation on rewrite, panic containment, the
+//! handler pool's idle timeout and every shutdown trigger.
 #![cfg(unix)]
 
+use banger::serve::server::{pool_size, IDLE_TIMEOUT};
 use banger::serve::{Client, Request, Server};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A tiny self-contained design: r = a, through one task.
 const SMALL: &str = "\
@@ -73,6 +76,55 @@ fn shutdown(sock: &Path, handle: std::thread::JoinHandle<()>) {
     handle.join().expect("server thread");
 }
 
+/// The `check` answer computed through the library directly (no
+/// daemon, no serve-side cache) — the ground truth a fresh local
+/// `banger check` would print.
+fn expected_check(src: &str) -> String {
+    let mut p = banger::parse_project(src).unwrap();
+    format!("{}\n", banger::analyze::render_report(p.diagnose()))
+}
+
+/// The ground truth for `banger gantt -H ETF`, computed like
+/// [`expected_check`].
+fn expected_schedule(src: &str) -> String {
+    let mut p = banger::parse_project(src).unwrap();
+    let s = p.schedule("ETF").unwrap();
+    let gantt = p.gantt(&s).unwrap();
+    let f = p.flatten().unwrap();
+    let g = f.graph.clone();
+    let m = p.machine().unwrap();
+    format!(
+        "{gantt}\nmakespan {:.3}, speedup {:.2}x, efficiency {:.0}%, {} of {} processors used\n",
+        s.makespan(),
+        s.speedup(&g, m),
+        100.0 * s.efficiency(&g, m),
+        s.processors_used(),
+        m.processors()
+    )
+}
+
+/// Joins the server thread, failing the test instead of hanging if
+/// `serve` has not returned within `limit`.
+fn join_within(handle: std::thread::JoinHandle<()>, limit: Duration) {
+    let start = Instant::now();
+    while !handle.is_finished() {
+        assert!(
+            start.elapsed() < limit,
+            "serve did not return within {limit:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.join().expect("server thread");
+}
+
+/// A client that has been answered once (so a handler holds its
+/// connection) and then stays silent.
+fn idle_client(sock: &Path) -> Client {
+    let mut c = Client::connect(sock).expect("connect");
+    assert!(c.request(&Request::new("ping")).unwrap().ok);
+    c
+}
+
 /// N threads fire mixed check/schedule/run requests; every response
 /// must be byte-identical to a fresh, daemon-independent local
 /// computation of the same answer.
@@ -84,29 +136,8 @@ fn concurrent_clients_get_fresh_local_answers() {
     let small_path = temp_path("stress-small", "bang");
     std::fs::write(&small_path, SMALL).unwrap();
 
-    // Expected answers, computed through the library directly (no
-    // daemon, no serve-side cache) — the ground truth a fresh local
-    // `banger` invocation would print.
-    let expected_check = {
-        let mut p = banger::parse_project(&lu3_src).unwrap();
-        format!("{}\n", banger::analyze::render_report(p.diagnose()))
-    };
-    let expected_sched = {
-        let mut p = banger::parse_project(&lu3_src).unwrap();
-        let s = p.schedule("ETF").unwrap();
-        let gantt = p.gantt(&s).unwrap();
-        let f = p.flatten().unwrap();
-        let g = f.graph.clone();
-        let m = p.machine().unwrap();
-        format!(
-            "{gantt}\nmakespan {:.3}, speedup {:.2}x, efficiency {:.0}%, {} of {} processors used\n",
-            s.makespan(),
-            s.speedup(&g, m),
-            100.0 * s.efficiency(&g, m),
-            s.processors_used(),
-            m.processors()
-        )
-    };
+    let expected_check = expected_check(&lu3_src);
+    let expected_sched = expected_schedule(&lu3_src);
     let expected_run = {
         let mut p = banger::parse_project(SMALL).unwrap();
         let mut inputs = std::collections::BTreeMap::new();
@@ -307,4 +338,145 @@ fn programmatic_shutdown_cleans_up() {
     handle.join().expect("server thread");
     assert!(!sock.exists(), "socket file removed on exit");
     assert!(server.shutdown_handle().load(Ordering::SeqCst));
+}
+
+/// A bare store to the shutdown handle (how an embedding program stops
+/// its in-process daemon) ends `serve` promptly, with or without an
+/// idle client holding a handler.
+#[test]
+fn bare_flag_store_ends_serve_even_with_an_idle_client() {
+    let (sock, server, handle) = start_server("flag-bare");
+    server.shutdown_handle().store(true, Ordering::SeqCst);
+    join_within(handle, Duration::from_secs(1));
+    assert!(!sock.exists(), "socket file removed on exit");
+
+    let (sock, server, handle) = start_server("flag-idle");
+    let mut idle = idle_client(&sock);
+    let stopped = Instant::now();
+    server.shutdown_handle().store(true, Ordering::SeqCst);
+    join_within(handle, Duration::from_secs(1));
+    assert!(
+        stopped.elapsed() < IDLE_TIMEOUT,
+        "serve waited for the idle timeout instead of closing the connection"
+    );
+    assert!(!sock.exists(), "socket file removed on exit");
+    assert!(
+        idle.request(&Request::new("ping")).is_err(),
+        "the idle connection is closed on shutdown"
+    );
+}
+
+/// The `shutdown` verb ends `serve` while another client holds an idle
+/// connection, and its sender still gets the answer.
+#[test]
+fn shutdown_verb_ends_serve_while_another_client_idles() {
+    let (sock, _server, handle) = start_server("verb-idle");
+    let mut idle = idle_client(&sock);
+    let stopped = Instant::now();
+    let resp = Client::connect(&sock)
+        .expect("connect")
+        .request(&Request::new("shutdown"))
+        .expect("shutdown is answered");
+    assert!(resp.ok);
+    assert_eq!(resp.output, "shutting down\n");
+    join_within(handle, Duration::from_secs(1));
+    assert!(stopped.elapsed() < IDLE_TIMEOUT);
+    assert!(!sock.exists(), "socket file removed on exit");
+    assert!(idle.request(&Request::new("ping")).is_err());
+}
+
+/// A client that sends half a length prefix and then goes silent holds
+/// a handler only until the idle timeout; meanwhile the rest of the
+/// pool keeps answering other clients.
+#[test]
+fn half_frame_client_is_dropped_after_the_idle_timeout() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let (sock, _server, handle) = start_server("half-frame");
+    // Pin every handler but one.
+    let stuck: Vec<(UnixStream, Instant)> = (1..pool_size())
+        .map(|_| {
+            let mut raw = UnixStream::connect(&sock).expect("connect");
+            raw.write_all(&[0, 0]).unwrap();
+            (raw, Instant::now())
+        })
+        .collect();
+
+    let mut client = Client::connect(&sock).expect("connect");
+    for _ in 0..3 {
+        let asked = Instant::now();
+        let resp = client.request(&Request::new("ping")).unwrap();
+        assert_eq!(resp.output, "pong\n");
+        assert!(
+            asked.elapsed() < IDLE_TIMEOUT / 2,
+            "a free handler answered late: {:?}",
+            asked.elapsed()
+        );
+    }
+    drop(client);
+
+    for (mut raw, sent) in stuck {
+        raw.set_read_timeout(Some(IDLE_TIMEOUT * 5)).unwrap();
+        let mut buf = [0u8; 16];
+        let n = raw.read(&mut buf).expect("the daemon closes, not the test");
+        assert_eq!(n, 0, "a half frame gets no answer, only a close");
+        let waited = sent.elapsed();
+        assert!(
+            waited >= IDLE_TIMEOUT.mul_f64(0.9),
+            "dropped after {waited:?}, before the idle timeout"
+        );
+    }
+    shutdown(&sock, handle);
+}
+
+/// Twice as many simultaneous multi-request clients as handlers: the
+/// extra connections wait their turn, and every answer is byte-correct.
+#[test]
+fn more_clients_than_handlers_all_get_correct_answers() {
+    let lu3_src = lu3();
+    let lu3_path = temp_path("pool-lu3", "bang");
+    std::fs::write(&lu3_path, &lu3_src).unwrap();
+    let expected_check = Arc::new(expected_check(&lu3_src));
+    let expected_sched = Arc::new(expected_schedule(&lu3_src));
+
+    let (sock, server, handle) = start_server("pool");
+    let clients = 2 * pool_size() + 1;
+    let requests = 4;
+    let go = Arc::new(std::sync::Barrier::new(clients));
+    let threads: Vec<_> = (0..clients)
+        .map(|t| {
+            let sock = sock.clone();
+            let path = lu3_path.to_str().unwrap().to_string();
+            let (go, expected_check, expected_sched) = (
+                Arc::clone(&go),
+                Arc::clone(&expected_check),
+                Arc::clone(&expected_sched),
+            );
+            std::thread::spawn(move || {
+                go.wait();
+                let mut client = Client::connect(&sock).expect("connect");
+                for i in 0..requests {
+                    let (req, expected) = if (t + i) % 2 == 0 {
+                        (Request::for_path("check", &path), &expected_check)
+                    } else {
+                        let mut req = Request::for_path("schedule", &path);
+                        req.heuristic = "ETF".into();
+                        (req, &expected_sched)
+                    };
+                    let resp = client.request(&req).unwrap();
+                    assert!(resp.ok, "{}", resp.error);
+                    assert_eq!(&resp.output, expected.as_str());
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().expect("client thread");
+    }
+    let stats = server.store().stats();
+    assert_eq!(stats.requests, (clients * requests) as u64);
+    assert_eq!(stats.panics, 0);
+    shutdown(&sock, handle);
+    std::fs::remove_file(&lu3_path).ok();
 }
