@@ -305,23 +305,9 @@ pub fn render_report(diags: &[Diagnostic]) -> String {
     out
 }
 
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 fn json_string(s: &str, out: &mut String) {
     out.push('"');
-    json_escape(s, out);
+    banger_taskgraph::json::escape_into(s, out);
     out.push('"');
 }
 

@@ -1,48 +1,12 @@
 //! `banger` — the environment as a command-line tool.
 //!
-//! Operates on `.bang` project documents (see `banger::document`):
-//!
-//! ```text
-//! banger check <file> [--format text|json] static analysis (B0xx diagnostics)
-//!              [--weights [-i var=value]...] add the per-task weight report:
-//!                                         static estimate vs drawn weight
-//!                                         (vs measured ops when inputs are
-//!                                         given and the design is clean)
-//! banger show <file>                      design statistics + DOT
-//! banger gantt <file> [-H <heuristic>]    schedule + ASCII Gantt chart
-//! banger compare <file>                   all heuristics, sorted
-//! banger simulate <file> [-H <heuristic>] predicted vs achieved
-//! banger animate <file> [-H <heuristic>]  frame-by-frame replay
-//! banger advise <file> [-H <heuristic>]   bottleneck analysis + suggestions
-//! banger recommend <file> [-p <procs>]    rank standard machines for the design
-//! banger svg <file> [-H h] [-o dir]       write gantt/speedup/utilization SVGs
-//! banger save-schedule <file> [-H h] [-o path]  persist a schedule
-//! banger verify <file> -s <schedule>      validate + replay a saved schedule
-//! banger run <file> [-i var=value]... [--trace out.json [-H h]]
-//!                                         execute on host threads; --trace
-//!                                         runs pinned to the -H schedule,
-//!                                         writes Chrome trace JSON and
-//!                                         prints the observed-vs-predicted
-//!                                         drift report
-//! banger trial <file> <program> [-i ...]  trial-run one PITS program
-//! banger speedup <file> -t spec,spec,...  speedup prediction sweep
-//! banger codegen <file> rust|c [-i ...]   emit generated code to stdout
-//! banger parallelize <file> <task> <n>    split a reduction task n ways
-//! banger optimize <file> [--expand task:tiles] [--fuse] [--emit out.bang]
-//!                                         graph-rewrite optimizer: dead-arc
-//!                                         elimination, optional map expansion
-//!                                         of a dense-LU template task and
-//!                                         task fusion; --emit writes the
-//!                                         rewritten document
-//! banger graph <file> [--optimized] [--dot]
-//!                                         flattened task-graph statistics,
-//!                                         optionally after optimization;
-//!                                         --dot prints Graphviz DOT
-//! banger help                             this list
-//! ```
-//!
-//! `run` and `gantt` also accept `--optimize` to apply dead-arc
-//! elimination + fusion before scheduling/executing.
+//! Operates on `.bang` project documents (see `banger::document`).
+//! Every subcommand lives in the library's command layer
+//! ([`banger::cli`]; `banger help` lists them with their options). This
+//! binary parses the command line into a request, answers it locally or
+//! through `--connect PATH` from a running `banger serve` daemon
+//! (locally when none answers), and prints the answer with the one
+//! printer both modes share.
 //!
 //! Input values: scalars (`-i a=2.5`) or arrays (`-i v=[1,2,3]`).
 //!
@@ -50,187 +14,39 @@
 //! error-severity diagnostics, 2 usage errors (unknown subcommand, missing
 //! arguments).
 
-use banger::document::parse_project;
-use banger::project::Project;
-use banger_calc::Value;
-use banger_machine::Topology;
-use std::collections::BTreeMap;
+use banger::cli;
+use banger::serve::{default_socket_path, Request, Response};
+use std::path::{Path, PathBuf};
 use std::process::exit;
-
-/// Every subcommand, with a one-line summary for `banger help`.
-const COMMANDS: &[(&str, &str)] = &[
-    (
-        "check",
-        "static analysis: races, interfaces, hygiene, body safety (B0xx); --weights for cost bounds",
-    ),
-    ("show", "design statistics + DOT rendering"),
-    ("gantt", "schedule + ASCII Gantt chart"),
-    (
-        "compare",
-        "run every scheduling heuristic, sorted by makespan",
-    ),
-    (
-        "simulate",
-        "message-accurate simulation: predicted vs achieved",
-    ),
-    ("animate", "frame-by-frame schedule replay"),
-    ("advise", "bottleneck analysis + suggestions"),
-    ("recommend", "rank standard machines for the design"),
-    ("svg", "write gantt/speedup/utilization SVG charts"),
-    ("save-schedule", "persist a schedule to a file"),
-    ("verify", "validate + replay a saved schedule"),
-    (
-        "run",
-        "execute the design on host threads (--repeat N for a warm session)",
-    ),
-    ("trial", "trial-run one PITS program with explicit inputs"),
-    ("speedup", "speedup prediction sweep over topologies"),
-    ("codegen", "emit generated Rust or C code to stdout"),
-    (
-        "parallelize",
-        "split a reduction task n ways and rewrite the document",
-    ),
-    (
-        "optimize",
-        "graph-rewrite optimizer: dead arcs, map expansion (--expand), fusion (--fuse)",
-    ),
-    (
-        "graph",
-        "flattened task-graph statistics (--optimized first; --dot for Graphviz)",
-    ),
-    (
-        "schedule",
-        "alias of gantt (the daemon client grammar's name for it)",
-    ),
-    ("help", "show this list"),
-];
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--connect PATH` is a global flag: serve this invocation from a
     // running daemon, falling back to local execution when none answers.
     let connect = extract_connect(&mut args);
-    let command = args.first().map(String::as_str).unwrap_or("help");
-    if matches!(command, "help" | "--help" | "-h") {
-        println!("{}", usage_text());
-        return;
-    }
-    if command == "serve" {
+    if args.first().map(String::as_str) == Some("serve") {
         exit(cmd_serve(&args[1..]));
     }
-    if matches!(command, "ping" | "stats" | "shutdown") {
-        exit(client_admin(connect.as_deref(), command, None));
-    }
-    if command == "evict" {
-        let Some(path) = args.get(1).map(String::as_str) else {
-            eprintln!("banger: evict needs a <file.bang> argument");
-            exit(2);
-        };
-        exit(client_admin(connect.as_deref(), command, Some(path)));
-    }
-    if !COMMANDS.iter().any(|(name, _)| *name == command) {
-        eprintln!("banger: unknown subcommand {command:?} (run `banger help` for the list)");
-        exit(2);
-    }
-    let Some(path) = args.get(1).map(String::as_str) else {
-        eprintln!(
-            "banger: {command} needs a <file.bang> argument\n\n{}",
-            usage_text()
-        );
-        exit(2);
-    };
-    if let Some(sock) = &connect {
-        if let Some(code) = try_client(sock, command, path, &args[2..]) {
-            exit(code);
+    let resp = match cli::parse(&args) {
+        Err(answer) => answer,
+        Ok(req) if cli::ADMIN.contains(&req.cmd.as_str()) => {
+            // Daemon-admin verbs have no local fallback.
+            let socket = connect.map_or_else(default_socket_path, PathBuf::from);
+            ask(&socket, &req).unwrap_or_else(|e| {
+                Response::failure(format!("cannot connect to {}: {e}", socket.display()))
+            })
         }
-        // fell through: the daemon cannot serve this invocation — local.
-    }
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => die(&format!("cannot read {path}: {e}")),
+        Ok(req) => match connect {
+            None => cli::local(&req),
+            Some(sock) => ask(Path::new(&sock), &req).unwrap_or_else(|e| {
+                let mut resp = cli::local(&req);
+                let note = format!("banger: no daemon at {sock} ({e}); running locally\n");
+                resp.notes.insert_str(0, &note);
+                resp
+            }),
+        },
     };
-    let mut project = match parse_project(&text) {
-        Ok(p) => p,
-        Err(e) => die(&format!("{path}: {e}")),
-    };
-    let rest = &args[2..];
-
-    let result = match command {
-        "check" => cmd_check(&mut project, rest),
-        "show" => cmd_show(&mut project),
-        "gantt" => cmd_gantt(&mut project, rest),
-        "compare" => cmd_compare(&mut project),
-        "simulate" => cmd_simulate(&mut project, rest),
-        "animate" => cmd_animate(&mut project, rest),
-        "advise" => cmd_advise(&mut project, rest),
-        "recommend" => cmd_recommend(&mut project, rest),
-        "svg" => cmd_svg(&mut project, rest),
-        "save-schedule" => cmd_save_schedule(&mut project, rest),
-        "verify" => cmd_verify(&mut project, rest),
-        "run" => cmd_run(&mut project, rest),
-        "trial" => cmd_trial(&project, rest),
-        "speedup" => cmd_speedup(&mut project, rest),
-        "codegen" => cmd_codegen(&mut project, rest),
-        "parallelize" => cmd_parallelize(&mut project, rest),
-        "optimize" => cmd_optimize(&mut project, rest),
-        "graph" => cmd_graph(&mut project, rest),
-        "schedule" => cmd_gantt(&mut project, rest),
-        _ => unreachable!("command validated above"),
-    };
-    if let Err(e) = result {
-        die(&e);
-    }
-}
-
-fn usage_text() -> String {
-    let mut out =
-        String::from("usage: banger <subcommand> <file.bang> [options]\n\nsubcommands:\n");
-    for (name, summary) in COMMANDS {
-        out.push_str(&format!("  {name:<14} {summary}\n"));
-    }
-    out.push_str(
-        "\noptions:\n\
-         \x20 -H <heuristic>   serial naive HLFET MCP ETF DLS MH DSH (default MH)\n\
-         \x20 -i var=value     run/codegen inputs; arrays as [1,2,3]\n\
-         \x20 -t spec,spec,... speedup topologies, e.g. single,hypercube:1,hypercube:2\n\
-         \x20 -p <procs>       recommend: processor budget (default 16)\n\
-         \x20 -s <path>        verify: saved schedule file\n\
-         \x20 -o <path>        svg/save-schedule: output location\n\
-         \x20 --format <fmt>   check: text (default) or json\n\
-         \x20 --weights        check: per-task weight report — drawn weight vs the\n\
-         \x20                  abstract interpreter's static cost bounds; with -i\n\
-         \x20                  inputs and a clean design, also runs it and shows\n\
-         \x20                  measured ops per task\n\
-         \x20 --reference      trial: use the tree-walking reference interpreter\n\
-         \x20 --repeat <n>     run: fire the design n times through one persistent\n\
-         \x20                  session (warm worker pool; prints per-firing stats)\n\
-         \x20 --trace <path>   run: execute pinned to the -H schedule with tracing,\n\
-         \x20                  write Chrome trace JSON (chrome://tracing, Perfetto)\n\
-         \x20                  and print the observed-vs-predicted drift report\n\
-         \x20 --optimize       run/gantt: apply dead-arc elimination + task fusion\n\
-         \x20                  to the design first (Outcome-preserving)\n\
-         \x20 --fuse           optimize: fuse grain-packed clusters into single tasks\n\
-         \x20 --expand t:n     optimize: expand dense-LU template task t into an\n\
-         \x20                  n x n tiled block-LU (bit-identical results)\n\
-         \x20 --emit <path>    optimize: write the rewritten document ('-' = stdout)\n\
-         \x20 --optimized      graph: optimize (with fusion) before reporting\n\
-         \x20 --dot            graph: print Graphviz DOT of the flattened graph\n\
-         \ndaemon:\n\
-         \x20 banger serve [--socket PATH]   persistent project daemon: content-hashed\n\
-         \x20                  caches (parse, diagnose, compile, schedule) plus warm\n\
-         \x20                  executor sessions, served over a Unix socket\n\
-         \x20 --connect PATH   serve check/schedule(gantt)/run/optimize from a running\n\
-         \x20                  daemon; falls back to local execution when no daemon\n\
-         \x20                  answers or the flags need local files\n\
-         \x20 ping|stats|shutdown            daemon admin (socket: --connect PATH,\n\
-         \x20                  else $BANGER_SOCKET, else <tmpdir>/banger.sock)\n\
-         \x20 evict <file>     drop the daemon's cached state for one project\n\
-         \nexit codes:\n\
-         \x20 0  success (warnings allowed)\n\
-         \x20 1  operational failure, or `check` found error-severity diagnostics\n\
-         \x20 2  usage error (unknown subcommand, missing arguments)",
-    );
-    out
+    exit(cli::print(&resp));
 }
 
 /// Removes `--connect PATH` from the argument list and returns the
@@ -238,12 +54,30 @@ fn usage_text() -> String {
 fn extract_connect(args: &mut Vec<String>) -> Option<String> {
     let i = args.iter().position(|a| a == "--connect")?;
     if i + 1 >= args.len() {
-        eprintln!("banger: --connect needs a socket path");
-        exit(2);
+        let usage = Response::failure("--connect needs a socket path").with_exit(2);
+        exit(cli::print(&usage));
     }
     let path = args.remove(i + 1);
     args.remove(i);
     Some(path)
+}
+
+/// Sends one request to the daemon at `socket`. `Err` means no daemon
+/// answered the connection.
+#[cfg(unix)]
+fn ask(socket: &Path, req: &Request) -> std::io::Result<Response> {
+    let mut client = banger::serve::Client::connect(socket)?;
+    Ok(client
+        .request(req)
+        .unwrap_or_else(|e| Response::failure(format!("daemon request failed: {e}"))))
+}
+
+#[cfg(not(unix))]
+fn ask(_socket: &Path, _req: &Request) -> std::io::Result<Response> {
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "the daemon requires a Unix platform",
+    ))
 }
 
 /// `banger serve [--socket PATH]` — run the project daemon in the
@@ -253,8 +87,8 @@ fn cmd_serve(rest: &[String]) -> i32 {
     let socket = rest
         .windows(2)
         .find(|w| w[0] == "--socket")
-        .map(|w| std::path::PathBuf::from(&w[1]))
-        .unwrap_or_else(banger::serve::default_socket_path);
+        .map(|w| PathBuf::from(&w[1]))
+        .unwrap_or_else(default_socket_path);
     banger::serve::server::install_signal_handlers();
     let server = match banger::serve::Server::bind(&socket) {
         Ok(s) => s,
@@ -278,802 +112,5 @@ fn cmd_serve(rest: &[String]) -> i32 {
 
 #[cfg(not(unix))]
 fn cmd_serve(_rest: &[String]) -> i32 {
-    eprintln!("banger: serve requires a Unix platform");
-    1
-}
-
-/// Prints a daemon response the way the equivalent local command
-/// would: deterministic output to stdout, notes to stderr, `die`-style
-/// error line on failure. Returns the process exit code.
-#[cfg(unix)]
-fn print_response(resp: &banger::serve::Response) -> i32 {
-    print!("{}", resp.output);
-    if !resp.notes.is_empty() {
-        eprintln!("{}", resp.notes);
-    }
-    if !resp.ok {
-        eprintln!("banger: {}", resp.error);
-        return if resp.exit != 0 { resp.exit } else { 1 };
-    }
-    resp.exit
-}
-
-/// Daemon-admin verbs (`ping`, `stats`, `shutdown`, `evict`): no local
-/// fallback — these are meaningless without a daemon.
-#[cfg(unix)]
-fn client_admin(connect: Option<&str>, command: &str, path_arg: Option<&str>) -> i32 {
-    let socket = connect
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(banger::serve::default_socket_path);
-    let mut client = match banger::serve::Client::connect(&socket) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("banger: cannot connect to {}: {e}", socket.display());
-            return 1;
-        }
-    };
-    let mut req = banger::serve::Request::new(command);
-    req.path = path_arg.map(str::to_string);
-    match client.request(&req) {
-        Ok(resp) => print_response(&resp),
-        Err(e) => {
-            eprintln!("banger: daemon request failed: {e}");
-            1
-        }
-    }
-}
-
-#[cfg(not(unix))]
-fn client_admin(_connect: Option<&str>, _command: &str, _path_arg: Option<&str>) -> i32 {
-    eprintln!("banger: daemon commands require a Unix platform");
-    1
-}
-
-/// Maps a `--connect` invocation onto a daemon request. Returns the
-/// exit code when the daemon served (or definitively failed) the
-/// request, or `None` to fall back to local execution — either because
-/// no daemon answered or because the flags demand local behavior
-/// (file outputs, weight reports, traces, warm-repeat loops).
-#[cfg(unix)]
-fn try_client(sock: &str, command: &str, path: &str, rest: &[String]) -> Option<i32> {
-    use banger::serve::{Client, Request};
-    let local_only = |flag: &str| {
-        eprintln!("banger: {flag} is served locally; ignoring --connect");
-    };
-    let req = match command {
-        "check" => {
-            if rest.iter().any(|a| a == "--weights") {
-                local_only("check --weights");
-                return None;
-            }
-            let mut r = Request::for_path("check", path);
-            if let Some(w) = rest.windows(2).find(|w| w[0] == "--format") {
-                r.format = w[1].clone();
-            }
-            r
-        }
-        "gantt" | "schedule" => {
-            if rest.iter().any(|a| a == "--optimize") {
-                local_only("gantt --optimize");
-                return None;
-            }
-            let mut r = Request::for_path("schedule", path);
-            r.heuristic = opt_heuristic(rest);
-            r
-        }
-        "run" => {
-            if let Some(flag) = ["--trace", "--repeat", "--optimize"]
-                .iter()
-                .find(|f| rest.iter().any(|a| a == **f))
-            {
-                local_only(&format!("run {flag}"));
-                return None;
-            }
-            let mut r = Request::for_path("run", path);
-            r.inputs = match opt_inputs(rest) {
-                Ok(i) => i,
-                Err(e) => {
-                    eprintln!("banger: {e}");
-                    return Some(1);
-                }
-            };
-            r
-        }
-        "optimize" => {
-            if let Some(flag) = ["--expand", "--emit"]
-                .iter()
-                .find(|f| rest.iter().any(|a| a == **f))
-            {
-                local_only(&format!("optimize {flag}"));
-                return None;
-            }
-            let mut r = Request::for_path("optimize", path);
-            r.fuse = rest.iter().any(|a| a == "--fuse");
-            r
-        }
-        // Everything else (show, compare, simulate, svg, codegen, ...)
-        // stays local: those commands are not daemon verbs.
-        _ => return None,
-    };
-    let mut client = match Client::connect(std::path::Path::new(sock)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("banger: no daemon at {sock} ({e}); running locally");
-            return None;
-        }
-    };
-    match client.request(&req) {
-        Ok(resp) => Some(print_response(&resp)),
-        Err(e) => {
-            eprintln!("banger: daemon request failed: {e}");
-            Some(1)
-        }
-    }
-}
-
-#[cfg(not(unix))]
-fn try_client(_sock: &str, _command: &str, _path: &str, _rest: &[String]) -> Option<i32> {
-    eprintln!("banger: --connect requires a Unix platform; running locally");
-    None
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("banger: {msg}");
-    exit(1)
-}
-
-fn opt_heuristic(rest: &[String]) -> String {
-    rest.windows(2)
-        .find(|w| w[0] == "-H")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "MH".to_string())
-}
-
-fn opt_inputs(rest: &[String]) -> Result<BTreeMap<String, Value>, String> {
-    let mut out = BTreeMap::new();
-    let mut i = 0;
-    while i < rest.len() {
-        if rest[i] == "-i" {
-            let pair = rest
-                .get(i + 1)
-                .ok_or_else(|| "-i needs var=value".to_string())?;
-            let (var, val) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("bad input {pair:?} (want var=value)"))?;
-            out.insert(var.to_string(), parse_value(val)?);
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    Ok(out)
-}
-
-fn parse_value(text: &str) -> Result<Value, String> {
-    let t = text.trim();
-    if let Some(inner) = t.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-        let mut vals = Vec::new();
-        for part in inner.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            vals.push(
-                part.parse::<f64>()
-                    .map_err(|_| format!("bad array element {part:?}"))?,
-            );
-        }
-        Ok(Value::array(vals))
-    } else {
-        t.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad scalar {t:?}"))
-    }
-}
-
-fn cmd_check(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    // banger check <file> [--format text|json] [--weights [-i var=value]...]
-    // Plain check prints diagnostics (JSON: a bare array, schema unchanged).
-    // --weights appends the per-task weight report; when inputs are given
-    // and the design is error-free, the design also runs once so the
-    // report can show measured ops next to the static bounds (JSON: one
-    // object with "diagnostics" and "weights" keys).
-    let format = rest
-        .windows(2)
-        .find(|w| w[0] == "--format")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "text".to_string());
-    let diags = project.diagnose().to_vec();
-    let weights = if rest.iter().any(|a| a == "--weights") {
-        let inputs = opt_inputs(rest)?;
-        let measured = if !inputs.is_empty() && !banger::analyze::has_errors(&diags) {
-            Some(project.run(&inputs).map_err(|e| e.to_string())?)
-        } else {
-            None
-        };
-        Some(
-            project
-                .weight_report(measured.as_ref())
-                .map_err(|e| e.to_string())?,
-        )
-    } else {
-        None
-    };
-    match format.as_str() {
-        "text" => {
-            println!("{}", banger::analyze::render_report(&diags));
-            if let Some(rows) = &weights {
-                println!("{}", banger::render_weight_table(rows));
-            }
-        }
-        "json" => match &weights {
-            None => println!("{}", banger::analyze::render_json(&diags)),
-            Some(rows) => println!(
-                "{{\"diagnostics\": {},\n\"weights\": {}}}",
-                banger::analyze::render_json(&diags),
-                banger::weight_rows_json(rows)
-            ),
-        },
-        other => {
-            return Err(format!(
-                "unknown check format {other:?} (want text or json)"
-            ))
-        }
-    }
-    if banger::analyze::has_errors(&diags) {
-        let n = diags
-            .iter()
-            .filter(|d| d.severity == banger::analyze::Severity::Error)
-            .count();
-        return Err(format!(
-            "design has {n} error-severity diagnostic{}",
-            if n == 1 { "" } else { "s" }
-        ));
-    }
-    Ok(())
-}
-
-fn cmd_show(project: &mut Project) -> Result<(), String> {
-    let design = project.design().clone();
-    println!(
-        "project {} — design depth {}, {} leaf tasks, {} programs",
-        project.name(),
-        design.depth(),
-        design.leaf_task_count(),
-        project.library().len()
-    );
-    if let Some(m) = project.machine() {
-        println!("machine: {}", m.describe());
-    } else {
-        println!("machine: (none defined)");
-    }
-    let f = project.flatten().map_err(|e| e.to_string())?;
-    let stats = banger_taskgraph::analysis::stats(&f.graph);
-    println!(
-        "flattened: {} tasks, {} arcs, width {}, depth {}, cp {:.2}, avg parallelism {:.2}",
-        stats.tasks,
-        stats.edges,
-        stats.width,
-        stats.depth,
-        stats.cp_length,
-        stats.average_parallelism
-    );
-    println!(
-        "inputs: {:?}  outputs: {:?}",
-        f.inputs.iter().map(|p| p.var.as_str()).collect::<Vec<_>>(),
-        f.outputs.iter().map(|p| p.var.as_str()).collect::<Vec<_>>()
-    );
-    println!("\n{}", banger_taskgraph::dot::hiergraph_to_dot(&design));
-    Ok(())
-}
-
-fn cmd_gantt(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    maybe_optimize(project, rest)?;
-    let h = opt_heuristic(rest);
-    let s = project.schedule(&h).map_err(|e| e.to_string())?;
-    println!("{}", project.gantt(&s).map_err(|e| e.to_string())?);
-    let f = project.flatten().map_err(|e| e.to_string())?;
-    let g = f.graph.clone();
-    let m = project.machine().ok_or("project has no machine")?;
-    println!(
-        "makespan {:.3}, speedup {:.2}x, efficiency {:.0}%, {} of {} processors used",
-        s.makespan(),
-        s.speedup(&g, m),
-        100.0 * s.efficiency(&g, m),
-        s.processors_used(),
-        m.processors()
-    );
-    Ok(())
-}
-
-fn cmd_compare(project: &mut Project) -> Result<(), String> {
-    let rows = project.compare_heuristics().map_err(|e| e.to_string())?;
-    println!(
-        "{:<14} {:>10} {:>9} {:>11} {:>7}",
-        "heuristic", "makespan", "speedup", "efficiency", "procs"
-    );
-    for r in rows {
-        println!(
-            "{:<14} {:>10.3} {:>8.2}x {:>10.0}% {:>7}",
-            r.heuristic,
-            r.makespan,
-            r.speedup,
-            100.0 * r.efficiency,
-            r.processors_used
-        );
-    }
-    Ok(())
-}
-
-fn cmd_simulate(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    let h = opt_heuristic(rest);
-    let s = project.schedule(&h).map_err(|e| e.to_string())?;
-    let r = project.simulate(&s).map_err(|e| e.to_string())?;
-    println!(
-        "{h}: predicted {:.3}, achieved {:.3} (ratio {:.3})",
-        r.predicted_makespan,
-        r.achieved_makespan(),
-        r.compare()
-    );
-    println!(
-        "traffic: {} messages, {} link hops, {:.3} time units queueing",
-        r.stats.messages, r.stats.hops, r.stats.queue_delay
-    );
-    Ok(())
-}
-
-fn cmd_animate(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    let h = opt_heuristic(rest);
-    let s = project.schedule(&h).map_err(|e| e.to_string())?;
-    let r = project.simulate(&s).map_err(|e| e.to_string())?;
-    let procs = project
-        .machine()
-        .ok_or("project has no machine")?
-        .processors();
-    let g = project.flatten().map_err(|e| e.to_string())?.graph.clone();
-    println!(
-        "{}",
-        banger::animate::animate(&g, procs, &r, banger::animate::AnimateOptions::default())
-    );
-    Ok(())
-}
-
-fn cmd_advise(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    let h = opt_heuristic(rest);
-    let s = project.schedule(&h).map_err(|e| e.to_string())?;
-    let g = project.flatten().map_err(|e| e.to_string())?.graph.clone();
-    let m = project.machine().ok_or("project has no machine")?;
-    let advice = banger::advisor::advise(&g, m, &s);
-    println!("{}", banger::advisor::render(&g, &advice));
-    Ok(())
-}
-
-fn cmd_recommend(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    // banger recommend <file> [-p maxprocs] — sweep the standard machine
-    // candidates (MH on each) and print them ranked by makespan.
-    let max_procs = match rest.windows(2).find(|w| w[0] == "-p") {
-        Some(w) => w[1]
-            .parse::<usize>()
-            .map_err(|_| format!("bad processor budget {:?} (want a number)", w[1]))?,
-        None => 16,
-    };
-    if max_procs == 0 {
-        return Err("processor budget must be at least 1".to_string());
-    }
-    let params = project.machine().map(|m| *m.params()).unwrap_or_default();
-    let choices = project
-        .recommend_machine(max_procs, params)
-        .map_err(|e| e.to_string())?;
-    println!("machine search — {} (budget {max_procs})", project.name());
-    print!("{}", banger::advisor::render_machine_search(&choices));
-    Ok(())
-}
-
-fn cmd_svg(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    // banger svg <file> [-H h] [-o dir] — writes gantt.svg, speedup.svg and
-    // utilization.svg into dir (default: current directory).
-    let h = opt_heuristic(rest);
-    let dir = rest
-        .windows(2)
-        .find(|w| w[0] == "-o")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| ".".to_string());
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-    let s = project.schedule(&h).map_err(|e| e.to_string())?;
-    let g = project.flatten().map_err(|e| e.to_string())?.graph.clone();
-    let m = project.machine().ok_or("project has no machine")?.clone();
-
-    let gantt = banger::svg::gantt_svg(&s, m.processors(), &g);
-    let util = banger::svg::utilization_svg(&s, m.processors());
-    let points = project
-        .predict_speedup(
-            &[
-                Topology::single(),
-                Topology::hypercube(1),
-                Topology::hypercube(2),
-                Topology::hypercube(3),
-            ],
-            *m.params(),
-        )
-        .map_err(|e| e.to_string())?;
-    let speedup =
-        banger::svg::speedup_svg(&format!("{} — predicted speedup", project.name()), &points);
-    for (name, body) in [
-        ("gantt.svg", &gantt),
-        ("utilization.svg", &util),
-        ("speedup.svg", &speedup),
-    ] {
-        let path = format!("{dir}/{name}");
-        std::fs::write(&path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
-}
-
-fn cmd_save_schedule(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    // banger save-schedule <file> [-H h] [-o path] — computes a schedule
-    // and writes it in the schedule text format (stdout by default).
-    let h = opt_heuristic(rest);
-    let s = project.schedule(&h).map_err(|e| e.to_string())?;
-    let text = banger_sched::textfmt::to_text(&s);
-    match rest.windows(2).find(|w| w[0] == "-o") {
-        Some(w) => {
-            std::fs::write(&w[1], &text).map_err(|e| format!("cannot write {}: {e}", w[1]))?;
-            eprintln!("wrote {} ({} placements)", w[1], s.placements().len());
-        }
-        None => print!("{text}"),
-    }
-    Ok(())
-}
-
-fn cmd_verify(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    // banger verify <file> -s schedule.txt — validates a saved schedule
-    // against the project's design and machine, then replays it on the
-    // simulator.
-    let sched_path = rest
-        .windows(2)
-        .find(|w| w[0] == "-s")
-        .map(|w| w[1].clone())
-        .ok_or_else(|| "verify needs -s <schedule file>".to_string())?;
-    let text = std::fs::read_to_string(&sched_path)
-        .map_err(|e| format!("cannot read {sched_path}: {e}"))?;
-    let s = banger_sched::textfmt::from_text(&text)?;
-    let g = project.flatten().map_err(|e| e.to_string())?.graph.clone();
-    let m = project.machine().ok_or("project has no machine")?.clone();
-    s.validate(&g, &m).map_err(|e| format!("INVALID: {e}"))?;
-    let r = project.simulate(&s).map_err(|e| e.to_string())?;
-    println!(
-        "VALID: {} placements, makespan {:.3}; simulation achieves {:.3} (ratio {:.3})",
-        s.placements().len(),
-        s.makespan(),
-        r.achieved_makespan(),
-        r.compare()
-    );
-    Ok(())
-}
-
-fn cmd_run(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    // banger run <file> [-i var=value]... [--repeat N] [--trace out.json [-H h]]
-    // Plain runs use the greedy work-stealing pool. With --repeat N the
-    // design fires N times through one persistent exec::Session (warm
-    // worker pool, routing tables, and slab store reused per firing) and
-    // the last firing's outputs print, with per-firing latency stats.
-    // With --trace, the design runs pinned to the -H schedule (default
-    // MH) with event tracing on: the Chrome trace JSON goes to out.json,
-    // and the predicted vs observed Gantt charts, the per-task drift
-    // report, and the aggregate trace counters print alongside the
-    // outputs. --optimize rewrites the design first (dead arcs + fusion).
-    maybe_optimize(project, rest)?;
-    let inputs = opt_inputs(rest)?;
-    let trace_path = rest
-        .windows(2)
-        .find(|w| w[0] == "--trace")
-        .map(|w| w[1].clone());
-    if rest.iter().any(|a| a == "--trace") && trace_path.is_none() {
-        return Err("--trace needs an output path (e.g. --trace out.json)".to_string());
-    }
-    let repeat = rest
-        .windows(2)
-        .find(|w| w[0] == "--repeat")
-        .map(|w| {
-            w[1].parse::<u32>()
-                .map_err(|_| format!("--repeat needs a positive count, got {:?}", w[1]))
-        })
-        .transpose()?;
-    if rest.iter().any(|a| a == "--repeat") && repeat.is_none() {
-        return Err("--repeat needs a count (e.g. --repeat 1000)".to_string());
-    }
-
-    if let Some(n) = repeat {
-        if n == 0 {
-            return Err("--repeat needs a count of at least 1".to_string());
-        }
-        if trace_path.is_some() {
-            return Err("--repeat and --trace are mutually exclusive".to_string());
-        }
-        let mut session = project
-            .session(&banger_exec::ExecOptions::default())
-            .map_err(|e| e.to_string())?;
-        let mut report = None;
-        let mut total = std::time::Duration::ZERO;
-        let mut best = std::time::Duration::MAX;
-        for _ in 0..n {
-            let r = session.run(&inputs).map_err(|e| e.to_string())?;
-            total += r.wall;
-            best = best.min(r.wall);
-            report = Some(r);
-        }
-        let report = report.ok_or("--repeat produced no firing report")?;
-        print_run_output(&report);
-        eprintln!(
-            "({n} firings on {} warm workers: total {total:?}, mean {:?}, best {best:?})",
-            session.workers(),
-            total / n,
-        );
-        return Ok(());
-    }
-
-    let Some(trace_path) = trace_path else {
-        let report = project.run(&inputs).map_err(|e| e.to_string())?;
-        print_run_output(&report);
-        return Ok(());
-    };
-
-    // Traced run: schedule, execute pinned to it, then compare.
-    let h = opt_heuristic(rest);
-    let schedule = project.schedule(&h).map_err(|e| e.to_string())?;
-    let options = banger_exec::ExecOptions {
-        mode: banger_exec::ExecMode::pinned(schedule.clone()),
-        trace: true,
-        ..Default::default()
-    };
-    let report = project
-        .run_with(&inputs, &options)
-        .map_err(|e| e.to_string())?;
-    print_run_output(&report);
-    let trace = report
-        .trace
-        .as_ref()
-        .ok_or("traced run recorded no trace")?;
-
-    let f = project.flatten().map_err(|e| e.to_string())?;
-    let name_of = {
-        let g = f.graph.clone();
-        move |t| banger::project::short_name(&g.task(t).name)
-    };
-    std::fs::write(&trace_path, trace.chrome_json(&name_of))
-        .map_err(|e| format!("cannot write {trace_path}: {e}"))?;
-    eprintln!("wrote {trace_path} (load in chrome://tracing or Perfetto)");
-
-    println!("\npredicted ({h}):");
-    println!("{}", project.gantt(&schedule).map_err(|e| e.to_string())?);
-    println!("observed:");
-    println!(
-        "{}",
-        project.observed_gantt(trace).map_err(|e| e.to_string())?
-    );
-    let drift = project
-        .drift_report(&schedule, trace)
-        .map_err(|e| e.to_string())?;
-    println!("{}", drift.render(&name_of));
-    eprintln!("{}", trace.summary().render());
-    Ok(())
-}
-
-fn print_run_output(report: &banger_exec::ExecReport) {
-    for (task, line) in &report.prints {
-        println!("[{}] {}", task, line);
-    }
-    for (var, value) in &report.outputs {
-        println!("{var} = {value}");
-    }
-    eprintln!("({} task runs, wall {:?})", report.runs.len(), report.wall);
-}
-
-fn cmd_trial(project: &Project, rest: &[String]) -> Result<(), String> {
-    // banger trial <file> <program> [-i var=value]... [--reference]
-    // Runs one PITS program through the compiled VM (default) or the
-    // tree-walking reference interpreter (--reference); both produce
-    // identical outcomes.
-    let program = rest
-        .first()
-        .filter(|a| !a.starts_with('-'))
-        .ok_or_else(|| "trial needs a <program> name".to_string())?;
-    let inputs = opt_inputs(rest)?;
-    let config = banger_calc::InterpConfig {
-        reference: rest.iter().any(|a| a == "--reference"),
-        ..Default::default()
-    };
-    let outcome = project
-        .trial_run_with(program, &inputs, config)
-        .map_err(|e| e.to_string())?;
-    for line in &outcome.prints {
-        println!("{line}");
-    }
-    for (var, value) in &outcome.outputs {
-        println!("{var} = {value}");
-    }
-    eprintln!(
-        "({} ops, {} engine)",
-        outcome.ops,
-        if config.reference { "reference" } else { "vm" }
-    );
-    Ok(())
-}
-
-fn cmd_speedup(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    let specs = rest
-        .windows(2)
-        .find(|w| w[0] == "-t")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "single,hypercube:1,hypercube:2,hypercube:3".to_string());
-    let mut topos = Vec::new();
-    for spec in specs.split(',') {
-        topos.push(Topology::parse(spec.trim()).map_err(|e| e.to_string())?);
-    }
-    let params = project.machine().map(|m| *m.params()).unwrap_or_default();
-    let points = project
-        .predict_speedup(&topos, params)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "{}",
-        banger::speedup_chart(
-            &format!("predicted speedup — {}", project.name()),
-            &points,
-            40
-        )
-    );
-    Ok(())
-}
-
-fn cmd_parallelize(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    // banger parallelize <file> <task> <chunks>  — prints the transformed
-    // document to stdout (redirect to save).
-    let task = rest
-        .first()
-        .ok_or_else(|| "parallelize needs a task name".to_string())?;
-    let chunks: usize = rest
-        .get(1)
-        .ok_or_else(|| "parallelize needs a chunk count".to_string())?
-        .parse()
-        .map_err(|_| "bad chunk count".to_string())?;
-    let names = project
-        .parallelize_task(task, chunks)
-        .map_err(|e| e.to_string())?;
-    eprintln!("expanded {task:?} into {} chunks: {names:?}", names.len());
-    print!("{}", banger::document::print_project(project));
-    Ok(())
-}
-
-/// Renders an [`banger::project::OptimizeStats`] as one or two lines.
-fn render_opt_stats(stats: &banger::project::OptimizeStats) -> String {
-    let mut out = format!(
-        "dce: removed {} arcs, {} input decls, {} locals, {} ports; dropped {} programs",
-        stats.dce.arcs_removed,
-        stats.dce.inputs_trimmed,
-        stats.dce.locals_trimmed,
-        stats.dce.ports_removed,
-        stats.dce.programs_dropped,
-    );
-    if let Some(f) = &stats.fuse {
-        out.push_str(&format!(
-            "\nfuse: {} -> {} tasks ({} clusters fused, {} rejected), est. parallel time {:.1} -> {:.1}",
-            f.tasks_before,
-            f.tasks_after,
-            f.clusters_fused,
-            f.clusters_rejected,
-            f.estimated_pt_before,
-            f.estimated_pt_after,
-        ));
-    }
-    out
-}
-
-/// Applies the optimizer first when `--optimize` is among the options
-/// (used by `run` and `gantt`).
-fn maybe_optimize(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    if rest.iter().any(|a| a == "--optimize") {
-        let stats = project.optimize(true).map_err(|e| e.to_string())?;
-        eprintln!("{}", render_opt_stats(&stats));
-    }
-    Ok(())
-}
-
-fn cmd_optimize(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    // banger optimize <file> [--expand task:tiles] [--fuse] [--emit out.bang]
-    // Map expansion runs first (it creates the task-parallel structure),
-    // then dead-arc elimination and — with --fuse — task fusion. The
-    // rewritten document goes to --emit's path ('-' for stdout).
-    if rest.iter().any(|a| a == "--expand") {
-        let spec = rest
-            .windows(2)
-            .find(|w| w[0] == "--expand")
-            .map(|w| w[1].clone())
-            .ok_or_else(|| "--expand needs task:tiles (e.g. --expand fact:16)".to_string())?;
-        let (task, tiles) = spec
-            .split_once(':')
-            .ok_or_else(|| format!("bad --expand {spec:?} (want task:tiles)"))?;
-        let tiles: usize = tiles
-            .parse()
-            .map_err(|_| format!("bad tile count {tiles:?}"))?;
-        let st = project
-            .expand_task(task, tiles)
-            .map_err(|e| e.to_string())?;
-        eprintln!(
-            "expanded {task:?} into {0}x{0} tiles of {1}x{1} ({2} tasks, {3} programs added)",
-            st.tiles, st.block, st.tasks_added, st.programs_added
-        );
-    }
-    let fuse = rest.iter().any(|a| a == "--fuse");
-    let stats = project.optimize(fuse).map_err(|e| e.to_string())?;
-    eprintln!("{}", render_opt_stats(&stats));
-    let f = project.flatten().map_err(|e| e.to_string())?;
-    eprintln!(
-        "optimized design: {} tasks, {} arcs",
-        f.graph.task_count(),
-        f.graph.edge_count()
-    );
-    if let Some(path) = rest
-        .windows(2)
-        .find(|w| w[0] == "--emit")
-        .map(|w| w[1].clone())
-    {
-        let doc = banger::document::print_project(project);
-        if path == "-" {
-            print!("{doc}");
-        } else {
-            std::fs::write(&path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-    } else if rest.iter().any(|a| a == "--emit") {
-        return Err("--emit needs an output path ('-' for stdout)".to_string());
-    }
-    Ok(())
-}
-
-fn cmd_graph(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    // banger graph <file> [--optimized] [--dot]
-    // Reports the *flattened* task graph (what the scheduler and router
-    // actually see), unlike `show`, which renders the hierarchy.
-    if rest.iter().any(|a| a == "--optimized") {
-        let stats = project.optimize(true).map_err(|e| e.to_string())?;
-        eprintln!("{}", render_opt_stats(&stats));
-    }
-    let f = project.flatten().map_err(|e| e.to_string())?;
-    if rest.iter().any(|a| a == "--dot") {
-        println!("{}", banger_taskgraph::dot::taskgraph_to_dot(&f.graph));
-        return Ok(());
-    }
-    let stats = banger_taskgraph::analysis::stats(&f.graph);
-    println!(
-        "flattened: {} tasks, {} arcs, width {}, depth {}, cp {:.2}, avg parallelism {:.2}",
-        stats.tasks,
-        stats.edges,
-        stats.width,
-        stats.depth,
-        stats.cp_length,
-        stats.average_parallelism
-    );
-    println!(
-        "inputs: {:?}  outputs: {:?}",
-        f.inputs.iter().map(|p| p.var.as_str()).collect::<Vec<_>>(),
-        f.outputs.iter().map(|p| p.var.as_str()).collect::<Vec<_>>()
-    );
-    Ok(())
-}
-
-fn cmd_codegen(project: &mut Project, rest: &[String]) -> Result<(), String> {
-    let lang = rest.first().map(String::as_str).unwrap_or("rust");
-    let inputs = opt_inputs(rest)?;
-    let h = opt_heuristic(rest);
-    let s = project.schedule(&h).map_err(|e| e.to_string())?;
-    let code = match lang {
-        "rust" => project
-            .generate_rust(&s, &inputs)
-            .map_err(|e| e.to_string())?,
-        "c" => project.generate_c(&s, &inputs).map_err(|e| e.to_string())?,
-        other => return Err(format!("unknown language {other:?} (rust|c)")),
-    };
-    print!("{code}");
-    Ok(())
+    cli::print(&Response::failure("serve requires a Unix platform"))
 }

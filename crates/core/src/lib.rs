@@ -44,12 +44,12 @@
 pub mod advisor;
 pub mod animate;
 pub mod chart;
+pub mod cli;
 pub mod document;
 pub mod figures;
 pub mod gantt;
 pub mod lu;
 pub mod project;
-#[cfg(unix)]
 pub mod serve;
 pub mod svg;
 

@@ -17,7 +17,7 @@ use banger_machine::{Machine, MachineParams, Topology};
 use banger_sched::{Schedule, ScheduleSummary};
 use banger_sim::{simulate, SimError, SimOptions, SimResult};
 use banger_taskgraph::hierarchy::Flattened;
-use banger_taskgraph::{GraphError, HierGraph};
+use banger_taskgraph::{GraphError, HierGraph, TaskGraph};
 use banger_trace::{DriftReport, Trace};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -177,9 +177,7 @@ pub fn render_weight_table(rows: &[WeightRow]) -> String {
 /// `task`, `program`, `drawn`, `static` (`est`/`ops_lo`/`ops_hi`/`exact`,
 /// `ops_hi` null when unbounded) and `measured`; absent pieces are null.
 pub fn weight_rows_json(rows: &[WeightRow]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
+    use banger_taskgraph::json::escape as esc;
     fn num(x: f64) -> String {
         if x.is_finite() {
             format!("{x}")
@@ -228,7 +226,10 @@ pub struct Project {
     machine: Option<Machine>,
     flattened: Option<Flattened>,
     diagnostics: Option<Vec<Diagnostic>>,
-    warned: bool,
+    /// Schedules computed for the current design and machine, by heuristic.
+    schedules: BTreeMap<String, Schedule>,
+    /// Warnings the gate recorded since the last [`take_warnings`](Self::take_warnings).
+    warnings: Option<String>,
 }
 
 impl Project {
@@ -241,7 +242,8 @@ impl Project {
             machine: None,
             flattened: None,
             diagnostics: None,
-            warned: false,
+            schedules: BTreeMap::new(),
+            warnings: None,
         }
     }
 
@@ -255,11 +257,10 @@ impl Project {
         &self.design
     }
 
-    /// Mutable design access; invalidates the flatten and diagnostics
-    /// caches.
+    /// Mutable design access; invalidates the flatten, diagnostics and
+    /// schedule caches.
     pub fn design_mut(&mut self) -> &mut HierGraph {
-        self.flattened = None;
-        self.invalidate_diagnostics();
+        self.invalidate();
         &mut self.design
     }
 
@@ -270,13 +271,14 @@ impl Project {
 
     /// Mutable program library access; invalidates the diagnostics cache.
     pub fn library_mut(&mut self) -> &mut ProgramLibrary {
-        self.invalidate_diagnostics();
+        self.diagnostics = None;
         &mut self.library
     }
 
     /// Defines the target machine (paper step 2).
     pub fn set_machine(&mut self, machine: Machine) {
         self.machine = Some(machine);
+        self.invalidate();
     }
 
     /// The current machine.
@@ -304,9 +306,18 @@ impl Project {
         self.machine.as_ref().ok_or(ProjectError::NoMachine)
     }
 
-    fn invalidate_diagnostics(&mut self) {
+    /// The flattened graph and the machine, for renderers that need both.
+    pub fn graph_and_machine(&mut self) -> Result<(&TaskGraph, &Machine), ProjectError> {
+        self.flatten()?;
+        Ok((&self.flattened_ref()?.graph, self.machine_ref()?))
+    }
+
+    /// Drops every cache derived from the design: the flattened graph,
+    /// the diagnostics and the schedules.
+    fn invalidate(&mut self) {
+        self.flattened = None;
         self.diagnostics = None;
-        self.warned = false;
+        self.schedules.clear();
     }
 
     /// Runs static analysis over the design and library (see
@@ -321,26 +332,34 @@ impl Project {
         self.diagnostics.as_deref().unwrap_or_default()
     }
 
-    /// Refuses to proceed on error-severity diagnostics; prints warnings
-    /// to stderr (once per fresh analysis) and continues otherwise.
-    /// Called by [`schedule`](Self::schedule), [`run`](Self::run),
-    /// [`run_scheduled`](Self::run_scheduled) and the code generators.
-    fn gate(&mut self) -> Result<(), ProjectError> {
-        let diags = self.diagnose();
+    /// Refuses to proceed on error-severity diagnostics. Otherwise
+    /// renders the warnings for [`take_warnings`](Self::take_warnings),
+    /// unless they are still waiting there, and continues. Called by
+    /// [`schedule`](Self::schedule), [`run`](Self::run),
+    /// [`session`](Self::session), [`optimize`](Self::optimize) and the
+    /// code generators; nothing is printed.
+    pub fn gate(&mut self) -> Result<(), ProjectError> {
+        self.diagnose();
+        let diags = self.diagnostics.as_deref().unwrap_or_default();
         if banger_analyze::has_errors(diags) {
             return Err(ProjectError::Invalid(diags.to_vec()));
         }
-        if !self.warned {
-            self.warned = true;
-            for d in self.diagnostics.as_deref().unwrap_or_default() {
-                eprintln!("{}", banger_analyze::render_text(d));
-            }
+        if self.warnings.is_none() {
+            let text = diags.iter().map(|d| banger_analyze::render_text(d) + "\n");
+            self.warnings = Some(text.collect());
         }
         Ok(())
     }
 
+    /// The warnings rendered by the first gated call since the last take
+    /// (empty when the design is clean), or `None` when nothing was gated.
+    pub fn take_warnings(&mut self) -> Option<String> {
+        self.warnings.take()
+    }
+
     /// Runs a named scheduling heuristic (see
-    /// [`banger_sched::HEURISTIC_NAMES`], plus `"DSH"`).
+    /// [`banger_sched::HEURISTIC_NAMES`], plus `"DSH"`), memoized per
+    /// heuristic until the design or machine changes.
     /// The design must pass [`diagnose`](Self::diagnose) with no errors.
     pub fn schedule(&mut self, heuristic: &str) -> Result<Schedule, ProjectError> {
         self.flatten()?;
@@ -348,10 +367,14 @@ impl Project {
         // the first thing the user must fix to get a schedule at all.
         self.machine_ref()?;
         self.gate()?;
-        let m = self.machine_ref()?;
-        let g = &self.flattened_ref()?.graph;
-        banger_sched::run_heuristic(heuristic, g, m)
-            .ok_or_else(|| ProjectError::UnknownHeuristic(heuristic.to_string()))
+        if let Some(s) = self.schedules.get(heuristic) {
+            return Ok(s.clone());
+        }
+        let (g, m) = self.graph_and_machine()?;
+        let s = banger_sched::run_heuristic(heuristic, g, m)
+            .ok_or_else(|| ProjectError::UnknownHeuristic(heuristic.to_string()))?;
+        self.schedules.insert(heuristic.to_string(), s.clone());
+        Ok(s)
     }
 
     /// Renders a schedule as an ASCII Gantt chart (paper Figure 3, left).
@@ -430,8 +453,7 @@ impl Project {
             }
         }
         walk(&mut self.design, &lib, &mut updated);
-        self.flattened = None;
-        self.invalidate_diagnostics();
+        self.invalidate();
         Ok(updated)
     }
 
@@ -705,8 +727,7 @@ impl Project {
         self.design
             .replace_task_with_compound(node_id, inner, inputs, outputs)
             .map_err(ProjectError::Graph)?;
-        self.flattened = None;
-        self.invalidate_diagnostics();
+        self.invalidate();
 
         // Register the generated programs.
         for chunk in split.chunks {
@@ -758,8 +779,7 @@ impl Project {
 
         self.design = banger_opt::flat_to_design(&self.name, &flat, &sizes)?;
         self.library = lib;
-        self.flattened = None;
-        self.invalidate_diagnostics();
+        self.invalidate();
         // The rewritten design must re-pass the analyzer; a failure here
         // is an optimizer bug and is surfaced loudly rather than hidden.
         self.gate()?;
@@ -780,8 +800,7 @@ impl Project {
         tiles: usize,
     ) -> Result<banger_opt::ExpandStats, ProjectError> {
         let stats = banger_opt::expand_dense_lu(&mut self.design, task, &mut self.library, tiles)?;
-        self.flattened = None;
-        self.invalidate_diagnostics();
+        self.invalidate();
         Ok(stats)
     }
 
@@ -845,6 +864,37 @@ mod tests {
             MachineParams::default(),
         ));
         p
+    }
+
+    #[test]
+    fn schedules_are_memoized_until_the_design_or_machine_changes() {
+        let mut p = lu_project(3);
+        let etf = p.schedule("ETF").unwrap();
+        assert_eq!(p.schedules.len(), 1);
+        assert_eq!(p.schedule("ETF").unwrap().makespan(), etf.makespan());
+        assert_eq!(p.schedules.len(), 1, "a second call is a memo hit");
+        p.set_machine(Machine::new(Topology::single(), MachineParams::default()));
+        assert!(p.schedules.is_empty(), "a new machine clears the memo");
+        assert_eq!(p.schedule("ETF").unwrap().processors_used(), 1);
+        p.design_mut();
+        assert!(p.schedules.is_empty(), "a design edit clears the memo");
+    }
+
+    #[test]
+    fn gate_records_warnings_once_per_take() {
+        let mut p = lu_project(3);
+        assert_eq!(p.take_warnings(), None, "nothing gated yet");
+        let (a, b) = test_system(3);
+        let s = p.schedule("MH").unwrap();
+        p.run_scheduled(&s, &lu_inputs(&a, &b)).unwrap();
+        let warnings = p.take_warnings().expect("the gate ran");
+        let expected: String = p
+            .diagnose()
+            .iter()
+            .map(|d| banger_analyze::render_text(d) + "\n")
+            .collect();
+        assert_eq!(warnings, expected);
+        assert_eq!(p.take_warnings(), None);
     }
 
     #[test]

@@ -6,9 +6,21 @@
 //! re-linted, re-compiled and re-scheduled from scratch. This module
 //! keeps all of that *resident*, SDFG-style: a long-lived process holds
 //! a concurrent [`ProjectStore`] keyed by canonical `.bang` path, with a
-//! cache at every pipeline level, and serves check / schedule / run /
-//! trace / optimize requests from many simultaneous clients over a
-//! Unix-domain socket.
+//! cache at every pipeline level, and serves every `banger` subcommand
+//! to many simultaneous clients over a Unix-domain socket.
+//!
+//! ## One command layer
+//!
+//! A request is a parsed command line plus the client's working
+//! directory. The daemon runs it through the same command layer as
+//! local mode ([`crate::cli::execute`]), on its cached project, so the
+//! answer's stdout, stderr and exit code are local mode's by
+//! construction. Relative paths the daemon reads (the project file,
+//! `verify -s`) resolve against the client's directory. The daemon never
+//! writes a file: commands that produce one (`svg`, `save-schedule -o`,
+//! `run --trace`, `optimize --emit PATH`) return it in the response, and
+//! the client writes it. Commands that rewrite the design run on a
+//! clone of the cached project.
 //!
 //! ## Cache levels
 //!
@@ -24,8 +36,12 @@
 //! | parse | [`Project`](crate::Project) (design + library + machine) | source hash | hash change |
 //! | diagnose | `Project::diagnose` memo | source hash | hash change |
 //! | compile | `Arc<CompiledProgram>` in the `ProgramLibrary` | program name | hash change |
-//! | router + workers | [`Session`](banger_exec::Session) (parked pool, slab store) | source hash | hash change, worker loss |
-//! | schedule | rendered schedule + Gantt | (design hash, machine spec, heuristic) | hash change |
+//! | schedule | `Project::schedule` memo | heuristic | hash change; inside `Project`, any design or machine change |
+//! | router + workers | [`Session`](banger_exec::Session) (parked pool, slab store), fired by plain `run` | source hash | hash change, worker loss |
+//!
+//! There is no rendered-output level: every request renders its answer
+//! again from these caches (a `check` report or a Gantt chart costs
+//! microseconds next to the analysis and scheduling behind it).
 //!
 //! ## Protocol
 //!
@@ -63,17 +79,21 @@
 //! ```
 //!
 //! Client mode falls back to plain local execution when no daemon
-//! answers on the socket, so `--connect` is always safe to add.
+//! answers on the socket, so `--connect` is always safe to add. Each
+//! `--connect` invocation is exactly one request.
 
+#[cfg(unix)]
 pub mod client;
-pub mod json;
 pub mod ops;
 pub mod protocol;
+#[cfg(unix)]
 pub mod server;
 pub mod store;
 
+#[cfg(unix)]
 pub use client::Client;
 pub use protocol::{Request, Response};
+#[cfg(unix)]
 pub use server::Server;
 pub use store::{content_hash, CacheStats, ProjectStore};
 

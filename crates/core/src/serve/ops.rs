@@ -1,17 +1,13 @@
-//! Request handlers: each verb reproduces the matching CLI command's
-//! stdout byte-for-byte, so a client can transparently swap between
-//! daemon and local execution.
+//! Request dispatch: the admin verbs, and for every subcommand "look up
+//! the project entry, then run the command layer on it".
 //!
-//! Deterministic stdout goes in [`Response::output`]; things the CLI
-//! sends to stderr (wall-clock timings, optimizer stats, the `die`
-//! line for error-severity diagnostics) go in [`Response::notes`] or
-//! [`Response::error`]. [`Response::cached`] reports whether the answer
-//! came from a warm cache without recomputation.
+//! The answer is whatever [`cli::execute`] returns for the cached
+//! project, so it is the local answer by construction;
+//! [`Response::cached`] reports whether the entry was warm.
 
 use super::protocol::{Request, Response};
-use super::store::{EntryState, ProjectStore, SchedKey};
-use crate::analyze;
-use crate::project::ProjectError;
+use super::store::ProjectStore;
+use crate::cli;
 use std::sync::atomic::Ordering;
 
 /// Dispatches one request against the store. Panics are *not* caught
@@ -25,280 +21,41 @@ pub fn handle(store: &ProjectStore, req: &Request) -> Response {
     match req.cmd.as_str() {
         "ping" => Response::success("pong\n"),
         "stats" => Response::success(store.stats().render()),
-        "evict" => {
-            let Some(path) = &req.path else {
-                return Response::failure("evict needs a \"path\"");
-            };
-            let dropped = store.evict(path);
-            Response::success(if dropped {
-                "evicted\n"
-            } else {
-                "not cached\n"
-            })
-        }
-        "check" => with_entry(store, req, op_check),
-        "schedule" | "gantt" => with_entry(store, req, op_schedule),
-        "run" => with_entry(store, req, op_run),
-        "trace" => with_entry(store, req, op_trace),
-        "optimize" => with_entry(store, req, op_optimize),
+        "evict" => match &req.path {
+            None => Response::failure("evict needs a \"path\""),
+            Some(path) if store.evict(req.resolve(path)) => Response::success("evicted\n"),
+            Some(_) => Response::success("not cached\n"),
+        },
         // `shutdown` is intercepted by the server before dispatch; seeing
         // it here means a non-server caller (e.g. a unit test).
         "shutdown" => Response::success("shutting down\n"),
-        other => Response::failure(format!(
-            "unknown command {other:?} (want check, schedule, run, trace, optimize, ping, stats, evict, shutdown)"
-        )),
+        _ => with_entry(store, req),
     }
 }
 
-/// Resolves the request path, syncs the entry with the current source
-/// bytes, and runs `op` under the per-entry lock. `warm` tells the op
-/// whether the entry survived from an earlier request (individual ops
-/// may still report `cached: false` for work not memoized at their
-/// level).
-fn with_entry(
-    store: &ProjectStore,
-    req: &Request,
-    op: fn(&mut EntryState, &Request, bool) -> Response,
-) -> Response {
+/// Syncs the request's entry with the file's current bytes, then runs
+/// the command under the per-entry lock: on a clone when it rewrites
+/// the design, else on the cached project with the entry's warm
+/// session lent to `run`.
+fn with_entry(store: &ProjectStore, req: &Request) -> Response {
     let Some(path) = &req.path else {
         return Response::failure(format!("{} needs a \"path\"", req.cmd));
     };
-    let (slot, _canon, source, hash) = match store.lookup(path) {
+    let (slot, _canon, source, hash) = match store.lookup(req.resolve(path)) {
         Ok(x) => x,
-        Err(e) => return Response::failure(e),
+        Err(e) => return Response::failure(format!("cannot read {path}: {e}")),
     };
     let mut entry = slot.lock();
-    match entry.ensure(&source, hash, &store.counters) {
-        Ok((state, warm)) => op(state, req, warm),
-        Err(e) => Response::failure(e),
-    }
-}
-
-/// `check [--format text|json]` — mirrors `cmd_check` without
-/// `--weights` (weight reports need a run and are served locally).
-fn op_check(state: &mut EntryState, req: &Request, _warm: bool) -> Response {
-    let cached = state.checks.contains_key(&req.format);
-    if !cached {
-        let diags = state.project.diagnose().to_vec();
-        let output = match req.format.as_str() {
-            "text" => format!("{}\n", analyze::render_report(&diags)),
-            "json" => format!("{}\n", analyze::render_json(&diags)),
-            other => {
-                return Response::failure(format!(
-                    "unknown check format {other:?} (want text or json)"
-                ))
-            }
-        };
-        let exit = i32::from(analyze::has_errors(&diags));
-        state.checks.insert(req.format.clone(), (output, exit));
-    }
-    let Some((output, exit)) = state.checks.get(&req.format) else {
-        return Response::failure("check cache lost its own entry");
+    let (state, warm) = match entry.ensure(&source, hash, &store.counters) {
+        Ok(x) => x,
+        Err(e) => return Response::failure(format!("{path}: {e}")),
     };
-    let mut resp = Response::success(output.clone())
-        .cached(cached)
-        .with_exit(*exit);
-    if *exit != 0 {
-        // The CLI prints this through `die` on stderr.
-        let diags = state.project.diagnose();
-        let n = diags
-            .iter()
-            .filter(|d| d.severity == analyze::Severity::Error)
-            .count();
-        resp = resp.with_notes(format!(
-            "banger: design has {n} error-severity diagnostic{}",
-            if n == 1 { "" } else { "s" }
-        ));
-    }
-    resp
-}
-
-/// `schedule` / `gantt [-H h]` — mirrors `cmd_gantt`; the rendered
-/// chart and summary line are memoized per (design hash, machine spec,
-/// heuristic).
-fn op_schedule(state: &mut EntryState, req: &Request, _warm: bool) -> Response {
-    let key: SchedKey = (
-        state.source_hash,
-        state.machine_spec.clone(),
-        req.heuristic.clone(),
-    );
-    if let Some(c) = state.schedules.get(&key) {
-        return Response::success(c.output.clone()).cached(true);
-    }
-    let s = match state.project.schedule(&req.heuristic) {
-        Ok(s) => s,
-        Err(e) => return Response::failure(e.to_string()),
+    let resp = if cli::rewrites(req) {
+        cli::execute(req, &mut state.project.clone(), None)
+    } else {
+        cli::execute(req, &mut state.project, Some(&mut state.session))
     };
-    let gantt = match state.project.gantt(&s) {
-        Ok(g) => g,
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let (graph, machine) = match state.project.flatten() {
-        Ok(f) => {
-            let g = f.graph.clone();
-            match state.project.machine() {
-                Some(m) => (g, m.clone()),
-                None => return Response::failure("project has no machine"),
-            }
-        }
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let output = format!(
-        "{gantt}\nmakespan {:.3}, speedup {:.2}x, efficiency {:.0}%, {} of {} processors used\n",
-        s.makespan(),
-        s.speedup(&graph, &machine),
-        100.0 * s.efficiency(&graph, &machine),
-        s.processors_used(),
-        machine.processors()
-    );
-    state.schedules.insert(
-        key,
-        super::store::CachedSchedule {
-            schedule: s,
-            output: output.clone(),
-        },
-    );
-    Response::success(output).cached(false)
-}
-
-/// `run [-i var=value]...` — mirrors plain `cmd_run` (no `--trace`, no
-/// `--repeat`). Fires through the entry's warm [`Session`]; `cached`
-/// reports pool reuse. A worker-level failure drops the session so the
-/// next request rebuilds the pool.
-fn op_run(state: &mut EntryState, req: &Request, _warm: bool) -> Response {
-    if let Some(task) = &req.inject_panic {
-        // Executor fault injection takes a one-off session: options are
-        // fixed at pool construction and must not contaminate the warm
-        // pool.
-        let opts = banger_exec::ExecOptions {
-            inject_panic: Some(task.clone()),
-            ..Default::default()
-        };
-        return match state.project.run_with(&req.inputs, &opts) {
-            Ok(report) => render_run(&report),
-            Err(e) => Response::failure(e.to_string()),
-        };
-    }
-    let warm_pool = state.session.is_some();
-    if state.session.is_none() {
-        match state.project.session(&banger_exec::ExecOptions::default()) {
-            Ok(s) => state.session = Some(s),
-            Err(e) => return Response::failure(e.to_string()),
-        }
-    }
-    let Some(session) = state.session.as_mut() else {
-        return Response::failure("session vanished after construction");
-    };
-    match session.run(&req.inputs) {
-        Ok(report) => render_run(&report).cached(warm_pool),
-        Err(e) => {
-            // The pool may have lost workers; rebuild it next time.
-            state.session = None;
-            Response::failure(ProjectError::from(e).to_string())
-        }
-    }
-}
-
-/// Renders an [`ExecReport`](banger_exec::ExecReport) exactly as the
-/// CLI's `print_run_output` does: prints + outputs on stdout, the
-/// wall-clock line on stderr (here: notes).
-fn render_run(report: &banger_exec::ExecReport) -> Response {
-    let mut out = String::new();
-    for (task, line) in &report.prints {
-        out.push_str(&format!("[{task}] {line}\n"));
-    }
-    for (var, value) in &report.outputs {
-        out.push_str(&format!("{var} = {value}\n"));
-    }
-    Response::success(out).with_notes(format!(
-        "({} task runs, wall {:?})",
-        report.runs.len(),
-        report.wall
-    ))
-}
-
-/// `trace [-H h] [-i ...]` — a pinned, traced run plus the drift
-/// report. Daemon-native (the CLI's `run --trace` also writes a file,
-/// so it stays local); output is wall-clock-dependent and therefore
-/// never byte-compared or cached.
-fn op_trace(state: &mut EntryState, req: &Request, _warm: bool) -> Response {
-    let schedule = match state.project.schedule(&req.heuristic) {
-        Ok(s) => s,
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let options = banger_exec::ExecOptions {
-        mode: banger_exec::ExecMode::pinned(schedule.clone()),
-        trace: true,
-        ..Default::default()
-    };
-    let report = match state.project.run_with(&req.inputs, &options) {
-        Ok(r) => r,
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let Some(trace) = report.trace.as_ref() else {
-        return Response::failure("traced run recorded no trace");
-    };
-    let drift = match state.project.drift_report(&schedule, trace) {
-        Ok(d) => d,
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let graph = match state.project.flatten() {
-        Ok(f) => f.graph.clone(),
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let base = render_run(&report);
-    let name_of = move |t| crate::project::short_name(&graph.task(t).name);
-    let output = format!("{}{}\n", base.output, drift.render(&name_of));
-    let notes = format!("{}\n{}", base.notes, trace.summary().render());
-    Response::success(output).with_notes(notes)
-}
-
-/// `optimize [--fuse]` — mirrors `cmd_optimize` without `--expand` /
-/// `--emit`: empty stdout, the optimizer stats on stderr (notes). Runs
-/// on a clone so the cached project — and with it every byte of every
-/// other response — stays untouched.
-fn op_optimize(state: &mut EntryState, req: &Request, _warm: bool) -> Response {
-    let mut scratch = state.project.clone();
-    let stats = match scratch.optimize(req.fuse) {
-        Ok(s) => s,
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let f = match scratch.flatten() {
-        Ok(f) => f,
-        Err(e) => return Response::failure(e.to_string()),
-    };
-    let mut notes = render_opt_stats(&stats);
-    notes.push_str(&format!(
-        "\noptimized design: {} tasks, {} arcs",
-        f.graph.task_count(),
-        f.graph.edge_count()
-    ));
-    Response::success("").with_notes(notes)
-}
-
-/// Mirror of the CLI's `render_opt_stats` (kept in lockstep so notes
-/// match local stderr byte-for-byte).
-fn render_opt_stats(stats: &crate::project::OptimizeStats) -> String {
-    let mut out = format!(
-        "dce: removed {} arcs, {} input decls, {} locals, {} ports; dropped {} programs",
-        stats.dce.arcs_removed,
-        stats.dce.inputs_trimmed,
-        stats.dce.locals_trimmed,
-        stats.dce.ports_removed,
-        stats.dce.programs_dropped,
-    );
-    if let Some(f) = &stats.fuse {
-        out.push_str(&format!(
-            "\nfuse: {} -> {} tasks ({} clusters fused, {} rejected), est. parallel time {:.1} -> {:.1}",
-            f.tasks_before,
-            f.tasks_after,
-            f.clusters_fused,
-            f.clusters_rejected,
-            f.estimated_pt_before,
-            f.estimated_pt_after,
-        ));
-    }
-    out
+    resp.cached(warm)
 }
 
 #[cfg(test)]
@@ -393,6 +150,30 @@ mod tests {
         let resp = handle(&store, &req);
         assert!(resp.ok, "{}", resp.error);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rewriting_commands_leave_the_cached_project_alone() {
+        let path = temp_bang("rewrite", &lu3_source());
+        let path = path.to_str().unwrap();
+        let store = ProjectStore::new();
+        let gantt = || handle(&store, &Request::for_path("gantt", path));
+        let before = gantt();
+        assert!(before.ok, "{}", before.error);
+        for (cmd, flags) in [
+            ("optimize", &["--fuse", "--emit", "-"][..]),
+            ("gantt", &["--optimize"]),
+        ] {
+            let mut req = Request::for_path(cmd, path);
+            req.args = flags.iter().map(|a| a.to_string()).collect();
+            assert!(crate::cli::rewrites(&req));
+            let resp = handle(&store, &req);
+            assert!(resp.ok, "{}", resp.error);
+        }
+        let after = gantt();
+        assert!(after.cached);
+        assert_eq!(before.output, after.output);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -10,12 +10,16 @@
 //!
 //! ## Requests
 //!
+//! A request is one parsed `banger` command line (see
+//! [`cli::parse`](crate::cli::parse)): the subcommand, the project file,
+//! the cross-command `-H` and `-i` values, every other argument in order,
+//! and the client's working directory.
+//!
 //! ```json
-//! {"cmd": "schedule", "path": "/abs/proj.bang", "heuristic": "ETF"}
-//! {"cmd": "run", "path": "/abs/proj.bang", "inputs": {"a": 2.5, "v": [1, 2, 3]}}
-//! {"cmd": "check", "path": "/abs/proj.bang", "format": "json"}
-//! {"cmd": "trace", "path": "/abs/proj.bang", "heuristic": "MH", "inputs": {...}}
-//! {"cmd": "optimize", "path": "/abs/proj.bang", "fuse": true}
+//! {"cmd": "gantt", "path": "lu3.bang", "heuristic": "ETF", "cwd": "/home/u/designs"}
+//! {"cmd": "run", "path": "p.bang", "heuristic": "MH", "inputs": {"a": 2.5, "v": [1, 2, 3]},
+//!  "args": ["--trace", "out.json"], "cwd": "/home/u"}
+//! {"cmd": "check", "path": "p.bang", "heuristic": "MH", "args": ["--format", "json"], "cwd": "/home/u"}
 //! {"cmd": "ping"}   {"cmd": "stats"}   {"cmd": "evict", "path": "..."}   {"cmd": "shutdown"}
 //! ```
 //!
@@ -28,20 +32,24 @@
 //! ## Responses
 //!
 //! ```json
-//! {"ok": true, "cached": true, "exit": 0, "output": "...", "notes": "..."}
-//! {"ok": false, "error": "..."}
+//! {"ok": true, "cached": true, "exit": 0, "output": "...", "notes": "...", "error": ""}
+//! {"ok": false, "cached": false, "exit": 1, "output": "", "notes": "", "error": "...",
+//!  "files": {"out.json": "..."}}
 //! ```
 //!
-//! `output` is byte-identical to what the matching local CLI command
-//! prints on stdout (that is what the differential stress test pins);
-//! `notes` carries non-deterministic extras (wall-clock timings, drift
-//! tables) that a client prints to stderr. `cached` reports whether the
-//! request was served from a warm cache entry without recomputation.
+//! `output` is the command's whole stdout and `notes` its whole stderr,
+//! both produced by the same command layer local mode runs; `error` is
+//! the failure printed last as `banger: <error>`. `files` holds the
+//! files the command asks to write, by the path the user gave; the
+//! client writes them relative to its own working directory, so the
+//! daemon never writes a file. `cached` means the project entry was
+//! warm: the request did not parse the source.
 
-use super::json::{self, Json};
 use banger_calc::Value;
+use banger_taskgraph::json::{self, Json};
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
+use std::path::{Path, PathBuf};
 
 /// Upper bound on one frame's payload, in bytes.
 pub const MAX_FRAME: usize = 64 << 20;
@@ -80,24 +88,25 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(buf))
 }
 
-/// One request to the daemon. Unknown JSON fields are ignored so old
-/// daemons tolerate newer clients.
+/// One request: a parsed `banger` invocation. Unknown JSON fields are
+/// ignored so old daemons tolerate newer clients.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
-    /// The verb: `check`, `schedule`, `run`, `trace`, `optimize`,
-    /// `ping`, `stats`, `evict`, `shutdown`.
+    /// A subcommand (`check`, `gantt`, `run`, ...; `schedule` is the
+    /// alias of `gantt`) or an admin verb (`ping`, `stats`, `evict`,
+    /// `shutdown`).
     pub cmd: String,
-    /// Project file path (server-side canonicalized); absent for
+    /// Project file path as given, resolved against `cwd`; absent for
     /// verbs that address the daemon itself.
     pub path: Option<String>,
-    /// Scheduling heuristic for `schedule` / `trace` (default `MH`).
+    /// `-H`: scheduling heuristic (default `MH`).
     pub heuristic: String,
-    /// `check` output format: `text` (default) or `json`.
-    pub format: String,
-    /// External input values for `run` / `trace`.
+    /// `-i`: external input values.
     pub inputs: BTreeMap<String, Value>,
-    /// `optimize`: also fuse grain-packed clusters.
-    pub fuse: bool,
+    /// Every other argument after the project file, in order.
+    pub args: Vec<String>,
+    /// The client's working directory; relative paths resolve against it.
+    pub cwd: String,
     /// Testing: forward to the executor's per-task panic injection.
     pub inject_panic: Option<String>,
     /// Testing: panic inside the request handler itself.
@@ -105,15 +114,17 @@ pub struct Request {
 }
 
 impl Request {
-    /// A request with defaults for everything but the verb.
+    /// A request with defaults for everything but the verb, recording
+    /// the current working directory.
     pub fn new(cmd: impl Into<String>) -> Self {
+        let cwd = std::env::current_dir().unwrap_or_default();
         Request {
             cmd: cmd.into(),
             path: None,
             heuristic: "MH".to_string(),
-            format: "text".to_string(),
             inputs: BTreeMap::new(),
-            fuse: false,
+            args: Vec::new(),
+            cwd: cwd.to_string_lossy().into_owned(),
             inject_panic: None,
             inject_handler_panic: false,
         }
@@ -126,6 +137,11 @@ impl Request {
         r
     }
 
+    /// `path` resolved against the request's working directory.
+    pub fn resolve(&self, path: &str) -> PathBuf {
+        Path::new(&self.cwd).join(path)
+    }
+
     /// Renders the request as one JSON object.
     pub fn to_json(&self) -> String {
         let mut pairs = vec![("cmd".to_string(), Json::Str(self.cmd.clone()))];
@@ -133,7 +149,6 @@ impl Request {
             pairs.push(("path".to_string(), Json::Str(p.clone())));
         }
         pairs.push(("heuristic".to_string(), Json::Str(self.heuristic.clone())));
-        pairs.push(("format".to_string(), Json::Str(self.format.clone())));
         if !self.inputs.is_empty() {
             let fields = self
                 .inputs
@@ -142,9 +157,11 @@ impl Request {
                 .collect();
             pairs.push(("inputs".to_string(), Json::Obj(fields)));
         }
-        if self.fuse {
-            pairs.push(("fuse".to_string(), Json::Bool(true)));
+        if !self.args.is_empty() {
+            let args = self.args.iter().map(|a| Json::Str(a.clone())).collect();
+            pairs.push(("args".to_string(), Json::Arr(args)));
         }
+        pairs.push(("cwd".to_string(), Json::Str(self.cwd.clone())));
         if let Some(t) = &self.inject_panic {
             pairs.push(("inject_panic".to_string(), Json::Str(t.clone())));
         }
@@ -162,13 +179,15 @@ impl Request {
             .and_then(Json::as_str)
             .ok_or("request needs a \"cmd\" string")?
             .to_string();
+        let text = |key| v.get(key).and_then(Json::as_str).map(str::to_string);
         let mut req = Request::new(cmd);
-        req.path = v.get("path").and_then(Json::as_str).map(str::to_string);
-        if let Some(h) = v.get("heuristic").and_then(Json::as_str) {
-            req.heuristic = h.to_string();
-        }
-        if let Some(f) = v.get("format").and_then(Json::as_str) {
-            req.format = f.to_string();
+        req.path = text("path");
+        req.heuristic = text("heuristic").unwrap_or(req.heuristic);
+        req.cwd = text("cwd").unwrap_or(req.cwd);
+        req.inject_panic = text("inject_panic");
+        for arg in v.get("args").and_then(Json::as_arr).unwrap_or_default() {
+            let arg = arg.as_str().ok_or("\"args\" must be strings")?;
+            req.args.push(arg.to_string());
         }
         if let Some(Json::Obj(fields)) = v.get("inputs") {
             for (name, val) in fields {
@@ -178,11 +197,6 @@ impl Request {
                 );
             }
         }
-        req.fuse = v.get("fuse").and_then(Json::as_bool).unwrap_or(false);
-        req.inject_panic = v
-            .get("inject_panic")
-            .and_then(Json::as_str)
-            .map(str::to_string);
         req.inject_handler_panic = v
             .get("inject_handler_panic")
             .and_then(Json::as_bool)
@@ -212,23 +226,23 @@ fn json_to_value(v: &Json) -> Result<Value, String> {
     }
 }
 
-/// One response from the daemon.
+/// The answer to one request, from the daemon or from local mode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
-    /// Whether the request succeeded operationally. `check` on a design
-    /// with error-severity findings is still `ok: true` (the check *ran*)
-    /// with `exit: 1`, matching the CLI's exit-code contract.
+    /// Whether the command succeeded; a failure prints `error` last.
     pub ok: bool,
-    /// Served from a warm cache entry without recomputation.
+    /// The project entry was warm: the request did not parse the source.
     pub cached: bool,
-    /// Suggested client exit code (0 success, 1 diagnostics errors).
+    /// Process exit code (0 success, 1 failure, 2 usage error).
     pub exit: i32,
-    /// Deterministic stdout payload (byte-identical to local mode).
+    /// The command's stdout.
     pub output: String,
-    /// Non-deterministic extras for stderr (timings, drift tables).
+    /// The command's stderr, before the `error` line.
     pub notes: String,
     /// Failure description when `ok` is false.
     pub error: String,
+    /// Files to write, as (path as given, contents), in order.
+    pub files: Vec<(String, String)>,
 }
 
 impl Response {
@@ -241,6 +255,7 @@ impl Response {
             output: output.into(),
             notes: String::new(),
             error: String::new(),
+            files: Vec::new(),
         }
     }
 
@@ -248,27 +263,25 @@ impl Response {
     pub fn failure(error: impl Into<String>) -> Self {
         Response {
             ok: false,
-            cached: false,
             exit: 1,
-            output: String::new(),
-            notes: String::new(),
             error: error.into(),
+            ..Response::success("")
         }
     }
 
-    /// Marks the response as served from a warm cache.
+    /// Marks whether the project entry was warm.
     pub fn cached(mut self, cached: bool) -> Self {
         self.cached = cached;
         self
     }
 
-    /// Sets the suggested client exit code.
+    /// Sets the exit code.
     pub fn with_exit(mut self, exit: i32) -> Self {
         self.exit = exit;
         self
     }
 
-    /// Attaches stderr notes.
+    /// Sets the stderr text.
     pub fn with_notes(mut self, notes: impl Into<String>) -> Self {
         self.notes = notes.into();
         self
@@ -276,6 +289,8 @@ impl Response {
 
     /// Renders the response as one JSON object.
     pub fn to_json(&self) -> String {
+        let files = self.files.iter();
+        let files = files.map(|(p, body)| (p.clone(), Json::Str(body.clone())));
         Json::Obj(vec![
             ("ok".to_string(), Json::Bool(self.ok)),
             ("cached".to_string(), Json::Bool(self.cached)),
@@ -283,6 +298,7 @@ impl Response {
             ("output".to_string(), Json::Str(self.output.clone())),
             ("notes".to_string(), Json::Str(self.notes.clone())),
             ("error".to_string(), Json::Str(self.error.clone())),
+            ("files".to_string(), Json::Obj(files.collect())),
         ])
         .render()
     }
@@ -290,6 +306,19 @@ impl Response {
     /// Parses a response from JSON text.
     pub fn from_json(text: &str) -> Result<Response, String> {
         let v = json::parse(text)?;
+        let text = |key| {
+            v.get(key)
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string()
+        };
+        let mut files = Vec::new();
+        if let Some(Json::Obj(pairs)) = v.get("files") {
+            for (path, body) in pairs {
+                let body = body.as_str().ok_or("file contents must be strings")?;
+                files.push((path.clone(), body.to_string()));
+            }
+        }
         Ok(Response {
             ok: v
                 .get("ok")
@@ -297,21 +326,10 @@ impl Response {
                 .ok_or("response needs an \"ok\" bool")?,
             cached: v.get("cached").and_then(Json::as_bool).unwrap_or(false),
             exit: v.get("exit").and_then(Json::as_num).unwrap_or(0.0) as i32,
-            output: v
-                .get("output")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            notes: v
-                .get("notes")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            error: v
-                .get("error")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
+            output: text("output"),
+            notes: text("notes"),
+            error: text("error"),
+            files,
         })
     }
 }

@@ -275,7 +275,7 @@ pub fn dispatch_guarded(store: &ProjectStore, req: &Request) -> Response {
             if let Some(path) = &req.path {
                 // Poison-and-rebuild: whatever half-mutated state the
                 // panic left behind must not serve another request.
-                store.evict(path);
+                store.evict(req.resolve(path));
             }
             let msg = payload
                 .downcast_ref::<&str>()

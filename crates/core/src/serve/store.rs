@@ -3,9 +3,10 @@
 //!
 //! One [`ProjectStore`] lives for the daemon's whole life. Each `.bang`
 //! file gets one [`Entry`] slot; the slot survives evictions so that
-//! per-path locks stay stable while the *state* inside (parsed
-//! [`Project`], memoized check renders, schedules, the warm
-//! [`Session`]) is rebuilt whenever the source bytes hash differently.
+//! per-path locks stay stable while the *state* inside (the parsed
+//! [`Project`] with its own diagnose, compile and schedule caches, and
+//! the warm [`Session`]) is rebuilt whenever the source bytes hash
+//! differently.
 //!
 //! Locking is two-level: a brief store-wide lock to find or create the
 //! slot, then a per-entry lock held for the duration of one request
@@ -18,9 +19,9 @@
 use crate::document::parse_project;
 use crate::project::Project;
 use banger_exec::Session;
-use banger_sched::Schedule;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,40 +38,14 @@ pub fn content_hash(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Key for one cached schedule: (design content hash, machine spec,
-/// heuristic). The machine spec string is [`Machine::describe`]'s
-/// one-liner — two designs sharing source bytes but differing machines
-/// can never collide because the machine is *part of* the hashed source;
-/// the spec stays in the key as defense in depth and documentation.
-///
-/// [`Machine::describe`]: banger_machine::Machine::describe
-pub type SchedKey = (u64, String, String);
-
-/// A schedule computed once and replayed from cache.
-#[derive(Clone)]
-pub struct CachedSchedule {
-    /// The schedule itself (reused by pinned/traced runs).
-    pub schedule: Schedule,
-    /// The exact stdout the CLI's `gantt` command would print.
-    pub output: String,
-}
-
 /// Everything derived from one source snapshot. Dropped wholesale on
 /// hash change or eviction — there is no partial invalidation.
 pub struct EntryState {
-    /// Hash of the source bytes this state was built from (the design
-    /// component of every [`SchedKey`]).
+    /// Hash of the source bytes this state was built from.
     pub source_hash: u64,
-    /// The parsed project (parse + diagnose + compile caches live
+    /// The parsed project (diagnose, compile and schedule caches live
     /// inside it).
     pub project: Project,
-    /// Machine spec line for schedule keys; empty if no machine.
-    pub machine_spec: String,
-    /// Rendered `check` output per format (`text` / `json`), plus the
-    /// exit code the CLI would use.
-    pub checks: HashMap<String, (String, i32)>,
-    /// Cached schedules + rendered Gantt output.
-    pub schedules: HashMap<SchedKey, CachedSchedule>,
     /// Warm executor session (parked worker pool, routing tables, slab
     /// store); opened lazily by the first `run` request.
     pub session: Option<Session>,
@@ -107,17 +82,13 @@ impl Entry {
         }
         counters.misses.fetch_add(1, Ordering::Relaxed);
         let mut project = parse_project(source).map_err(|e| e.to_string())?;
-        // Warm the parse-adjacent caches up front: flatten feeds every
-        // downstream consumer and diagnose memoizes inside the Project.
-        let machine_spec = project.machine().map(|m| m.describe()).unwrap_or_default();
+        // Warm the parse-adjacent cache up front: diagnose memoizes
+        // inside the Project and every command reads it.
         project.diagnose();
         self.source_hash = hash;
         self.state = Some(EntryState {
             source_hash: hash,
             project,
-            machine_spec,
-            checks: HashMap::new(),
-            schedules: HashMap::new(),
             session: None,
         });
         let state = self
@@ -194,24 +165,19 @@ impl ProjectStore {
         }
     }
 
-    /// Resolves a request path to its canonical form — the store key.
-    /// Canonicalization doubles as the per-request `stat` probe.
-    pub fn canonical(&self, path: &str) -> Result<PathBuf, String> {
-        Path::new(path)
-            .canonicalize()
-            .map_err(|e| format!("cannot read {path}: {e}"))
-    }
-
     /// Reads the current source snapshot and returns the entry slot for
     /// it: `(slot, canonical path, source text, content hash)`. The
     /// read-and-rehash *is* the invalidation probe — there is no file
     /// watcher; a stale entry is detected the moment the next request
-    /// arrives.
+    /// arrives. Canonicalization, which yields the store key, doubles as
+    /// the per-request `stat` probe.
     #[allow(clippy::type_complexity)]
-    pub fn lookup(&self, path: &str) -> Result<(Arc<Mutex<Entry>>, PathBuf, String, u64), String> {
-        let canon = self.canonical(path)?;
-        let source = std::fs::read_to_string(&canon)
-            .map_err(|e| format!("cannot read {}: {e}", canon.display()))?;
+    pub fn lookup(
+        &self,
+        path: impl AsRef<Path>,
+    ) -> io::Result<(Arc<Mutex<Entry>>, PathBuf, String, u64)> {
+        let canon = path.as_ref().canonicalize()?;
+        let source = std::fs::read_to_string(&canon)?;
         let hash = content_hash(source.as_bytes());
         let slot = {
             let mut map = self.entries.lock();
@@ -229,11 +195,9 @@ impl ProjectStore {
     /// Returns whether anything warm was actually dropped. Used by the
     /// `evict` verb, by panic poisoning, and by the bench to force cold
     /// measurements.
-    pub fn evict(&self, path: &str) -> bool {
-        let canon = match self.canonical(path) {
-            Ok(c) => c,
-            Err(_) => PathBuf::from(path),
-        };
+    pub fn evict(&self, path: impl AsRef<Path>) -> bool {
+        let path = path.as_ref();
+        let canon = path.canonicalize().unwrap_or_else(|_| path.to_path_buf());
         let slot = {
             let map = self.entries.lock();
             map.get(&canon).cloned()

@@ -1,10 +1,11 @@
-//! A minimal JSON value, parser and writer for the serve protocol.
+//! The workspace's one JSON module: a value type, an escaping writer and
+//! a small recursive-descent parser.
 //!
-//! The workspace is deliberately serde-free; every JSON producer writes
-//! by hand (CLI `--format json`, the bench records). The daemon needs to
-//! *read* JSON too, so this module carries the small recursive-descent
-//! parser plus an escaping writer. Only what the protocol needs: no
-//! comments, no trailing commas, numbers as `f64`.
+//! The workspace is deliberately serde-free. The diagnostics report,
+//! the Chrome trace export, the weight report and the daemon protocol
+//! all escape strings through [`escape_into`]; the daemon also parses
+//! with [`parse`]. Only what those need: no comments, no trailing
+//! commas, numbers as `f64`.
 
 use std::fmt::Write as _;
 
@@ -86,7 +87,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => escape_into(s, out),
+            Json::Str(s) => quote_into(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -103,7 +104,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    escape_into(k, out);
+                    quote_into(k, out);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -113,9 +114,22 @@ impl Json {
     }
 }
 
-/// JSON string escaping (quotes, backslash, control characters).
-fn escape_into(s: &str, out: &mut String) {
+fn quote_into(s: &str, out: &mut String) {
     out.push('"');
+    escape_into(s, out);
+    out.push('"');
+}
+
+/// Escapes `s` for use inside a JSON string literal (quotes, backslash,
+/// control characters), without the surrounding quotes.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(s, &mut out);
+    out
+}
+
+/// [`escape`], appending to `out`.
+pub fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -129,7 +143,6 @@ fn escape_into(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 /// Parses one JSON value; trailing non-whitespace is an error.
@@ -262,54 +275,5 @@ fn value_at(c: &[char], i: &mut usize) -> Result<Json, String> {
                 .map_err(|_| format!("bad number {s:?} at offset {start}"))
         }
         None => Err("empty input".into()),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn round_trips_nested_values() {
-        let v = Json::Obj(vec![
-            ("cmd".into(), Json::Str("run".into())),
-            (
-                "inputs".into(),
-                Json::Obj(vec![
-                    ("a".into(), Json::Num(1.5)),
-                    (
-                        "v".into(),
-                        Json::Arr(vec![Json::Num(1.0), Json::Num(-2.0), Json::Num(3e-4)]),
-                    ),
-                ]),
-            ),
-            ("flag".into(), Json::Bool(true)),
-            ("none".into(), Json::Null),
-        ]);
-        let text = v.render();
-        assert_eq!(parse(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn escapes_control_characters_and_quotes() {
-        let v = Json::Str("a\"b\\c\nd\te\u{1}".into());
-        let text = v.render();
-        assert_eq!(parse(&text).unwrap(), v);
-        assert!(text.contains("\\u0001"), "{text}");
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(parse("").is_err());
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{\"a\":1} trailing").is_err());
-        assert!(parse("nope").is_err());
-    }
-
-    #[test]
-    fn non_finite_numbers_render_null() {
-        assert_eq!(Json::Num(f64::INFINITY).render(), "null");
-        assert_eq!(Json::Num(f64::NAN).render(), "null");
     }
 }

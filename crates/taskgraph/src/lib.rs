@@ -44,6 +44,7 @@ pub mod error;
 pub mod generators;
 pub mod graph;
 pub mod hierarchy;
+pub mod json;
 pub mod textfmt;
 
 pub use error::GraphError;

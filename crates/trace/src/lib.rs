@@ -34,7 +34,7 @@
 
 use banger_machine::ProcId;
 use banger_sched::Schedule;
-use banger_taskgraph::TaskId;
+use banger_taskgraph::{json, TaskId};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -315,13 +315,13 @@ impl Trace {
                         "\"ops\":{ops},\"cow_copies\":{cow_copies},\"cow_bytes\":{cow_bytes}"
                     );
                     for (var, bytes) in bytes_in {
-                        let _ = write!(args, ",\"in {}\":{bytes}", json_escape(var));
+                        let _ = write!(args, ",\"in {}\":{bytes}", json::escape(var));
                     }
                     let _ = write!(
                         out,
                         ",\n{{\"name\":\"{}\",\"cat\":\"task\",\"ph\":\"X\",\"pid\":0,\
                          \"tid\":{worker},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{{args}}}}}",
-                        json_escape(&name_of(*task)),
+                        json::escape(&name_of(*task)),
                         us(start),
                         us(&finish.saturating_sub(*start)),
                     );
@@ -343,7 +343,7 @@ impl Trace {
                         out,
                         ",\n{{\"name\":\"wait {}\",\"cat\":\"wait\",\"ph\":\"X\",\"pid\":0,\
                          \"tid\":{worker},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{}}}}",
-                        json_escape(&name_of(*task)),
+                        json::escape(&name_of(*task)),
                         us(since),
                         us(&until.saturating_sub(*since)),
                     );
@@ -359,9 +359,9 @@ impl Trace {
                         ",\n{{\"name\":\"error {}\",\"cat\":\"error\",\"ph\":\"i\",\"s\":\"g\",\
                          \"pid\":0,\"tid\":{worker},\"ts\":{:.3},\
                          \"args\":{{\"message\":\"{}\"}}}}",
-                        json_escape(task),
+                        json::escape(task),
                         us(at),
-                        json_escape(message),
+                        json::escape(message),
                     );
                 }
                 TraceEvent::WorkerLost { at, detail } => {
@@ -370,7 +370,7 @@ impl Trace {
                         ",\n{{\"name\":\"workers lost\",\"cat\":\"error\",\"ph\":\"i\",\"s\":\"g\",\
                          \"pid\":0,\"tid\":0,\"ts\":{:.3},\"args\":{{\"detail\":\"{}\"}}}}",
                         us(at),
-                        json_escape(detail),
+                        json::escape(detail),
                     );
                 }
                 TraceEvent::WorkerStats {
@@ -627,25 +627,6 @@ impl DriftReport {
         );
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -835,16 +835,19 @@ impl Drop for DaemonGuard {
 }
 
 /// Full child-process round trip: `banger serve` in the background,
-/// `banger --connect` clients against it, byte-identical stdout vs
-/// local mode, clean shutdown over the protocol.
+/// `banger --connect` clients against it, byte-identical stdout (and
+/// stderr, design warnings included, except for `run`'s wall-clock
+/// line) vs local mode, clean shutdown over the protocol. The daemon's
+/// own stderr carries nothing on a request's behalf.
 #[cfg(unix)]
 #[test]
 fn serve_daemon_round_trip() {
     let sock = std::env::temp_dir().join(format!("banger-cli-serve-{}.sock", std::process::id()));
     std::fs::remove_file(&sock).ok();
+    let log = sock.with_extension("log");
     let child = banger()
         .args(["serve", "--socket", sock.to_str().unwrap()])
-        .stderr(std::process::Stdio::null())
+        .stderr(std::fs::File::create(&log).unwrap())
         .spawn()
         .expect("daemon starts");
     let mut guard = DaemonGuard(child);
@@ -866,9 +869,17 @@ fn serve_daemon_round_trip() {
 
     // check / gantt / run through the daemon == local mode, twice each
     // (second pass exercises the warm caches).
+    let lu3 = "examples/projects/lu3.bang";
+    let local_lu3 = banger().args(["gantt", lu3, "-H", "ETF"]).output().unwrap();
+    assert!(
+        String::from_utf8_lossy(&local_lu3.stderr).contains("warning[B014]"),
+        "{}",
+        String::from_utf8_lossy(&local_lu3.stderr)
+    );
     for args in [
         vec!["check", project_path()],
         vec!["gantt", project_path(), "-H", "ETF"],
+        vec!["gantt", lu3, "-H", "ETF"],
         vec!["run", project_path(), "-i", "left=100", "-i", "right=0"],
     ] {
         let local = banger().args(&args).output().unwrap();
@@ -884,6 +895,13 @@ fn serve_daemon_round_trip() {
                 String::from_utf8_lossy(&local.stdout),
                 "{args:?} ({pass}) stdout differs"
             );
+            if args[0] != "run" {
+                assert_eq!(
+                    String::from_utf8_lossy(&daemon.stderr),
+                    String::from_utf8_lossy(&local.stderr),
+                    "{args:?} ({pass}) stderr differs"
+                );
+            }
         }
     }
 
@@ -912,6 +930,113 @@ fn serve_daemon_round_trip() {
     let status = guard.0.wait().expect("daemon exits");
     assert!(status.success(), "daemon exit status {status:?}");
     assert!(!sock.exists(), "socket file removed on shutdown");
+    let daemon_log = std::fs::read_to_string(&log).unwrap();
+    assert_eq!(
+        daemon_log.lines().count(),
+        2,
+        "only the listening and shut-down lines: {daemon_log}"
+    );
+    std::fs::remove_file(&log).ok();
+}
+
+/// Starts `banger serve` on `sock` with its working directory at `cwd`
+/// and waits until it answers.
+#[cfg(unix)]
+fn spawn_daemon(sock: &std::path::Path, cwd: &std::path::Path) -> DaemonGuard {
+    std::fs::remove_file(sock).ok();
+    let guard = DaemonGuard(
+        banger()
+            .args(["serve", "--socket", sock.to_str().unwrap()])
+            .current_dir(cwd)
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("daemon starts"),
+    );
+    for _ in 0..200 {
+        if std::os::unix::net::UnixStream::connect(sock).is_ok() {
+            return guard;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    panic!("daemon never opened {}", sock.display());
+}
+
+/// A daemon started in one directory answers relative paths sent from
+/// another exactly as local mode does there: the project file and the
+/// `verify -s` schedule resolve against the client's working directory,
+/// and the file `save-schedule -o` writes lands there too.
+#[cfg(unix)]
+#[test]
+fn connect_resolves_relative_paths_against_the_client_cwd() {
+    let root = std::env::temp_dir().join(format!("banger-cli-cwd-{}", std::process::id()));
+    let (daemon_dir, client_dir) = (root.join("daemon"), root.join("client"));
+    std::fs::create_dir_all(&daemon_dir).unwrap();
+    std::fs::create_dir_all(&client_dir).unwrap();
+    std::fs::copy("examples/projects/lu3.bang", client_dir.join("lu3.bang")).unwrap();
+    let sock = root.join("d.sock");
+    let mut guard = spawn_daemon(&sock, &daemon_dir);
+    let connect = ["--connect", sock.to_str().unwrap()];
+
+    let saved = banger()
+        .args(connect)
+        .args(["save-schedule", "lu3.bang", "-H", "ETF", "-o", "s.txt"])
+        .current_dir(&client_dir)
+        .output()
+        .unwrap();
+    assert!(saved.status.success(), "{saved:?}");
+    assert!(
+        client_dir.join("s.txt").exists(),
+        "the client writes the file"
+    );
+    assert!(
+        !daemon_dir.join("s.txt").exists(),
+        "the daemon writes nothing"
+    );
+
+    for args in [
+        vec!["check", "lu3.bang"],
+        vec!["gantt", "lu3.bang", "-H", "ETF"],
+        vec!["verify", "lu3.bang", "-s", "s.txt"],
+    ] {
+        let local = banger()
+            .args(&args)
+            .current_dir(&client_dir)
+            .output()
+            .unwrap();
+        let daemon = banger()
+            .args(connect)
+            .args(&args)
+            .current_dir(&client_dir)
+            .output()
+            .unwrap();
+        assert!(local.status.success(), "{args:?}: {local:?}");
+        assert_eq!(daemon.status.code(), local.status.code(), "{args:?}");
+        assert_eq!(daemon.stdout, local.stdout, "{args:?} stdout differs");
+        assert_eq!(daemon.stderr, local.stderr, "{args:?} stderr differs");
+    }
+    let stats = banger().args(connect).arg("stats").output().unwrap();
+    let text = String::from_utf8_lossy(&stats.stdout).into_owned();
+    assert!(text.starts_with("requests 5 "), "all served: {text}");
+
+    let bye = banger().args(connect).arg("shutdown").output().unwrap();
+    assert!(bye.status.success());
+    assert!(guard.0.wait().expect("daemon exits").success());
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A reader that closes stdout early gets a quiet exit, not a panic.
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = banger()
+        .args(["check", project_path()])
+        .stdout(writer)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }
 
 /// SIGTERM stops a daemon promptly and cleanly even while a client
