@@ -63,13 +63,22 @@ fn extract_connect(args: &mut Vec<String>) -> Option<String> {
 }
 
 /// Sends one request to the daemon at `socket`. `Err` means no daemon
-/// answered the connection.
+/// answered the connection. An answer carrying a file the request did
+/// not name ([`cli::outputs`]) is refused whole, so whatever answers on
+/// the socket cannot make this process write anywhere else.
 #[cfg(unix)]
 fn ask(socket: &Path, req: &Request) -> std::io::Result<Response> {
     let mut client = banger::serve::Client::connect(socket)?;
-    Ok(client
+    let resp = client
         .request(req)
-        .unwrap_or_else(|e| Response::failure(format!("daemon request failed: {e}"))))
+        .unwrap_or_else(|e| Response::failure(format!("daemon request failed: {e}")));
+    let named = cli::outputs(req);
+    Ok(match resp.files.iter().find(|(p, _)| !named.contains(p)) {
+        Some((path, _)) => Response::failure(format!(
+            "daemon answered with a file the request did not name ({path}); nothing written"
+        )),
+        None => resp,
+    })
 }
 
 #[cfg(not(unix))]

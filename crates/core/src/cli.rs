@@ -8,7 +8,8 @@
 //! calls [`execute`] on its cached project, so a `--connect` answer is
 //! the local answer by construction. Commands neither print nor write
 //! files: the process that prints the response writes its files,
-//! relative to its own working directory.
+//! relative to its own working directory, and a client writes only the
+//! paths its own request names ([`outputs`]).
 
 use crate::analyze::{self, Severity};
 use crate::project::{short_name, OptimizeStats, Project, ProjectError};
@@ -198,6 +199,27 @@ pub fn rewrites(req: &Request) -> bool {
         "gantt" | "schedule" | "run" => flag("--optimize"),
         "graph" => flag("--optimized"),
         _ => false,
+    }
+}
+
+/// The files a request's own arguments ask it to write: `svg -o DIR`'s
+/// three charts, `save-schedule -o`, `run --trace` and `optimize --emit`
+/// (unless `-`). A daemon's answer may write these and no others.
+pub fn outputs(req: &Request) -> Vec<String> {
+    let value = |name: &str| {
+        let args = &req.args[..];
+        args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
+    };
+    match req.cmd.as_str() {
+        "svg" => {
+            let dir = value("-o").unwrap_or_else(|| ".".to_string());
+            let names = ["gantt.svg", "utilization.svg", "speedup.svg"];
+            names.iter().map(|n| format!("{dir}/{n}")).collect()
+        }
+        "save-schedule" => value("-o").into_iter().collect(),
+        "run" => value("--trace").into_iter().collect(),
+        "optimize" => value("--emit").filter(|p| p != "-").into_iter().collect(),
+        _ => Vec::new(),
     }
 }
 

@@ -42,7 +42,9 @@
 //! the failure printed last as `banger: <error>`. `files` holds the
 //! files the command asks to write, by the path the user gave; the
 //! client writes them relative to its own working directory, so the
-//! daemon never writes a file. `cached` means the project entry was
+//! daemon never writes a file. The client refuses an answer carrying
+//! any path its request did not name
+//! ([`cli::outputs`](crate::cli::outputs)). `cached` means the project entry was
 //! warm: the request did not parse the source.
 
 use banger_calc::Value;
@@ -281,12 +283,6 @@ impl Response {
         self
     }
 
-    /// Sets the stderr text.
-    pub fn with_notes(mut self, notes: impl Into<String>) -> Self {
-        self.notes = notes.into();
-        self
-    }
-
     /// Renders the response as one JSON object.
     pub fn to_json(&self) -> String {
         let files = self.files.iter();
@@ -352,10 +348,10 @@ mod tests {
 
     #[test]
     fn response_round_trip() {
-        let resp = Response::success("line1\nline2 \"quoted\"\n")
+        let mut resp = Response::success("line1\nline2 \"quoted\"\n")
             .cached(true)
-            .with_exit(1)
-            .with_notes("(3 task runs)");
+            .with_exit(1);
+        resp.notes = "(3 task runs)".to_string();
         let back = Response::from_json(&resp.to_json()).unwrap();
         assert_eq!(resp, back);
         let fail = Response::failure("boom: \\path\\");

@@ -1114,3 +1114,94 @@ fn connect_falls_back_to_local_without_a_daemon() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// `cli::outputs` names exactly the files each file-writing command
+/// returns, so the client's check on a daemon's answer never refuses a
+/// real one.
+#[test]
+fn outputs_name_every_file_a_command_writes() {
+    let lines: [&[&str]; 6] = [
+        &["svg", project_path(), "-o", "charts"],
+        &["svg", project_path()],
+        &["save-schedule", project_path(), "-o", "s.txt"],
+        &[
+            "run",
+            project_path(),
+            "-i",
+            "left=1",
+            "-i",
+            "right=0",
+            "--trace",
+            "t.json",
+        ],
+        &["optimize", project_path(), "--emit", "opt.bang"],
+        &["optimize", project_path(), "--emit", "-"],
+    ];
+    for line in lines {
+        let args: Vec<String> = line.iter().map(|a| a.to_string()).collect();
+        let req = banger::cli::parse(&args).expect("parses");
+        let resp = banger::cli::local(&req);
+        assert!(resp.ok, "{line:?}: {}", resp.error);
+        let written: Vec<&String> = resp.files.iter().map(|(p, _)| p).collect();
+        let named = banger::cli::outputs(&req);
+        assert_eq!(written, named.iter().collect::<Vec<_>>(), "{line:?}");
+    }
+}
+
+/// Whatever answers on the socket cannot make the client write a file
+/// its request did not name: such an answer is refused whole, for
+/// subcommands and admin verbs alike, and nothing is written.
+#[cfg(unix)]
+#[test]
+fn connect_refuses_files_the_request_did_not_name() {
+    use banger::serve::protocol::{read_frame, write_frame};
+    use banger::serve::Response;
+
+    let root = std::env::temp_dir().join(format!("banger-cli-files-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let client_dir = root.join("client");
+    std::fs::create_dir_all(&client_dir).unwrap();
+    let sock = root.join("fake.sock");
+    let victim = root.join("victim.txt");
+    let charts = root.join("charts");
+    let mut answer = Response::success("fine\n");
+    answer.files = vec![
+        (
+            format!("{}/gantt.svg", charts.display()),
+            "<svg/>".to_string(),
+        ),
+        (victim.display().to_string(), "overwritten\n".to_string()),
+        ("../escaped.txt".to_string(), "overwritten\n".to_string()),
+    ];
+    let lines = [
+        vec!["check", project_path()],
+        vec!["svg", project_path(), "-o", charts.to_str().unwrap()],
+        vec!["stats"],
+    ];
+    let listener = std::os::unix::net::UnixListener::bind(&sock).unwrap();
+    let answers = lines.len();
+    let fake = std::thread::spawn(move || {
+        for stream in listener.incoming().take(answers) {
+            let mut stream = stream.unwrap();
+            read_frame(&mut stream).unwrap();
+            write_frame(&mut stream, answer.to_json().as_bytes()).unwrap();
+        }
+    });
+    for args in &lines {
+        let out = banger()
+            .args(["--connect", sock.to_str().unwrap()])
+            .args(args)
+            .current_dir(&client_dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert!(stderr.contains("did not name"), "{args:?}: {stderr}");
+        assert!(!victim.exists(), "{args:?} wrote {}", victim.display());
+        assert!(!charts.exists(), "{args:?} wrote into {}", charts.display());
+        assert!(!root.join("escaped.txt").exists(), "{args:?} wrote ../");
+    }
+    fake.join().unwrap();
+    std::fs::remove_dir_all(&root).ok();
+}
