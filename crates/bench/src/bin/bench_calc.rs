@@ -4,37 +4,18 @@
 //! so the language-layer perf trajectory is tracked across PRs.
 //!
 //! ```text
-//! cargo run --release -p banger-bench --bin bench_calc
+//! cargo run --release -p banger-bench --bin bench_calc [-- --quick]
 //! ```
+//!
+//! Timing and output path follow [`banger_bench::harness`].
 
+use banger_bench::harness::{obj, round, Bench};
 use banger_calc::{compile, interp, vm, InterpConfig, Value};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
-
-/// Mean wall time of `f` in nanoseconds: one warmup call, then doubling
-/// batches until a batch takes >= 200ms (or 65536 iterations).
-fn mean_ns<F: FnMut()>(mut f: F) -> f64 {
-    f();
-    let mut iters = 1u64;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let elapsed = start.elapsed();
-        if elapsed.as_millis() >= 200 || iters >= 65_536 {
-            return elapsed.as_nanos() as f64 / iters as f64;
-        }
-        iters *= 2;
-    }
-}
 
 /// A numeric-integration task body: the loop-dominated shape (many
 /// iterations, scalar math) whose per-iteration dispatch cost is what
-/// the VM exists to crush. Same source as the `interp_pi` Criterion
-/// group.
+/// the VM exists to crush.
 const PI_SRC: &str = "\
 task Pi
   in n
@@ -51,6 +32,7 @@ begin
 end";
 
 fn main() {
+    let bench = Bench::from_args("calc");
     let sqrt_prog = banger_calc::parser::parse_program(banger::figures::SQUARE_ROOT_SRC).unwrap();
     let sqrt_inputs: BTreeMap<String, Value> =
         [("a".to_string(), Value::Num(2.0))].into_iter().collect();
@@ -67,15 +49,12 @@ fn main() {
         [("A".to_string(), Value::array(a))].into_iter().collect();
 
     let cfg = InterpConfig::default();
-    let mut json = String::from("{\n");
-    for (i, (name, prog, inputs)) in [
+    let mut fields = Vec::new();
+    for (name, prog, inputs) in [
         ("pi_n1000", &pi_prog, &pi_inputs),
         ("sqrt_fig4", &sqrt_prog, &sqrt_inputs),
         ("lu_fan1_n9", &fan1, &fan1_inputs),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    ] {
         let compiled = compile(prog);
 
         // Correctness gate before timing anything: identical outcome,
@@ -88,33 +67,19 @@ fn main() {
             "{name}: engines must be observationally identical"
         );
 
-        let tree_ns = mean_ns(|| {
-            black_box(interp::run(prog, inputs).unwrap());
-        });
+        let tree_ns = bench.best_ns(|| interp::run(prog, inputs).unwrap());
         let mut machine = vm::Vm::new();
-        let vm_ns = mean_ns(|| {
-            black_box(machine.run(&compiled, inputs, cfg).unwrap());
-        });
-        let compile_and_run_ns = mean_ns(|| {
-            black_box(vm::compile_and_run(prog, inputs, cfg).unwrap());
-        });
+        let vm_ns = bench.best_ns(|| machine.run(&compiled, inputs, cfg).unwrap());
+        let compile_and_run_ns = bench.best_ns(|| vm::compile_and_run(prog, inputs, cfg).unwrap());
 
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "  \"{name}\": {{\n    \
-             \"ops\": {},\n    \
-             \"tree_walk_mean_ns\": {tree_ns:.0},\n    \
-             \"vm_mean_ns\": {vm_ns:.0},\n    \
-             \"compile_and_run_mean_ns\": {compile_and_run_ns:.0},\n    \
-             \"vm_speedup\": {:.2}\n  }}",
-            tree.ops,
-            tree_ns / vm_ns,
-        );
+        let row = obj([
+            ("ops", tree.ops.into()),
+            ("tree_walk_best_ns", tree_ns.round().into()),
+            ("vm_best_ns", vm_ns.round().into()),
+            ("compile_and_run_best_ns", compile_and_run_ns.round().into()),
+            ("vm_speedup", round(tree_ns / vm_ns, 2).into()),
+        ]);
+        fields.push((name.to_string(), row));
     }
-    json.push_str("\n}\n");
-    std::fs::write("BENCH_calc.json", &json).expect("write BENCH_calc.json");
-    print!("{json}");
+    bench.write(fields);
 }

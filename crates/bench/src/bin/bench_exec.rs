@@ -12,49 +12,23 @@
 //! cargo run --release -p banger-bench --bin bench_exec [-- --quick]
 //! ```
 //!
-//! `--quick` shrinks the arrays and the measurement budget for CI smoke
-//! runs (a clone regression still shows; the numbers are just noisier).
-//!
-//! Timings are the **minimum of batch means**: the host this record is
-//! produced on is small and noisy, and the minimum estimates the
-//! uncontended cost far more stably than a grand mean.
+//! `--quick` also shrinks the arrays for CI smoke runs (a clone
+//! regression still shows; the numbers are just noisier). Timing and
+//! output path follow [`banger_bench::harness`].
 
 use banger_bench::dataflow;
+use banger_bench::harness::{obj, round, Bench};
 use banger_calc::InterpConfig;
 use banger_exec::{execute, ExecMode, ExecOptions, Session};
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
-
-/// Minimum batch-mean wall time of `f` in nanoseconds: calibrates a
-/// ~5 ms batch, then takes the best batch mean within `budget_ms`
-/// (at least 3 batches).
-fn best_ns<F: FnMut()>(budget_ms: u128, mut f: F) -> f64 {
-    f(); // warmup
-    let t0 = Instant::now();
-    f();
-    let per = t0.elapsed().as_nanos().max(1);
-    let batch = ((5_000_000 / per).max(1) as u64).min(16_384);
-    let started = Instant::now();
-    let mut best = f64::INFINITY;
-    let mut batches = 0u32;
-    while batches < 3 || (started.elapsed().as_millis() < budget_ms && batches < 1_000) {
-        let s = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        best = best.min(s.elapsed().as_nanos() as f64 / batch as f64);
-        batches += 1;
-    }
-    best
-}
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (budget_ms, arr, fan_readers, pipe_stages, lu_n) = if quick {
-        (20, 4_096, 8, 8, 5)
+    let bench = Bench::from_args("exec");
+    let quick = bench.quick();
+    let (arr, fan_readers, pipe_stages, lu_n) = if quick {
+        (4_096, 8, 8, 5)
     } else {
-        (150, 65_536, 16, 24, 9)
+        (65_536, 16, 24, 9)
     };
 
     let workloads = [
@@ -74,13 +48,7 @@ fn main() {
         ..ExecOptions::default()
     };
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(
-        json,
-        "  \"host_cpus\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
+    let mut fields = Vec::new();
     for (w, label) in workloads.iter().zip(&labels) {
         // Correctness gate before timing: the replica and the executor
         // must agree on the design's outputs.
@@ -92,16 +60,11 @@ fn main() {
             "{label}: old-style replica and executor must agree"
         );
 
-        let old_ns = best_ns(budget_ms, || {
-            black_box(dataflow::run_oldstyle(black_box(w), cfg));
-        });
-        let cold_ns = best_ns(budget_ms, || {
-            black_box(execute(&w.design, &w.lib, &w.external, &one_worker).unwrap());
-        });
+        let old_ns = bench.best_ns(|| dataflow::run_oldstyle(black_box(w), cfg));
+        let cold_ns =
+            bench.best_ns(|| execute(&w.design, &w.lib, &w.external, &one_worker).unwrap());
         let mut session = Session::new(&w.design, &w.lib, &one_worker).unwrap();
-        let warm_ns = best_ns(budget_ms, || {
-            black_box(session.run(&w.external).unwrap());
-        });
+        let warm_ns = bench.best_ns(|| session.run(&w.external).unwrap());
         drop(session);
 
         // One traced warm firing on the worker pool: the aggregate
@@ -124,38 +87,29 @@ fn main() {
             .unwrap();
         let s = report.trace.as_ref().expect("traced run").summary();
 
-        let _ = write!(
-            json,
-            "  \"{label}\": {{\n    \
-             \"tasks\": {},\n    \
-             \"oldstyle_gather_best_ns\": {old_ns:.0},\n    \
-             \"cold_exec_best_ns\": {cold_ns:.0},\n    \
-             \"warm_session_best_ns\": {warm_ns:.0},\n    \
-             \"speedup\": {:.2},\n    \
-             \"cold_speedup\": {:.2},\n    \
-             \"trace\": {{\n      \
-             \"workers\": {},\n      \
-             \"tasks_per_sec\": {:.0},\n      \
-             \"utilization\": {:.3},\n      \
-             \"queue_wait_ns\": {},\n      \
-             \"steals\": {},\n      \
-             \"inline_tasks\": {},\n      \
-             \"cow_copies\": {},\n      \
-             \"cow_bytes\": {},\n      \
-             \"input_bytes\": {}\n    }}\n  }},\n",
-            w.design.graph.task_count(),
-            old_ns / warm_ns,
-            old_ns / cold_ns,
-            s.workers,
-            s.tasks_per_sec(),
-            s.utilization(),
-            s.queue_wait.as_nanos(),
-            s.steals,
-            s.inline_tasks,
-            s.cow_copies,
-            s.cow_bytes,
-            s.bytes_in,
-        );
+        let row = obj([
+            ("tasks", w.design.graph.task_count().into()),
+            ("oldstyle_gather_best_ns", old_ns.round().into()),
+            ("cold_exec_best_ns", cold_ns.round().into()),
+            ("warm_session_best_ns", warm_ns.round().into()),
+            ("speedup", round(old_ns / warm_ns, 2).into()),
+            ("cold_speedup", round(old_ns / cold_ns, 2).into()),
+            (
+                "trace",
+                obj([
+                    ("workers", s.workers.into()),
+                    ("tasks_per_sec", s.tasks_per_sec().round().into()),
+                    ("utilization", round(s.utilization(), 3).into()),
+                    ("queue_wait_ns", (s.queue_wait.as_nanos() as f64).into()),
+                    ("steals", s.steals.into()),
+                    ("inline_tasks", s.inline_tasks.into()),
+                    ("cow_copies", s.cow_copies.into()),
+                    ("cow_bytes", s.cow_bytes.into()),
+                    ("input_bytes", s.bytes_in.into()),
+                ]),
+            ),
+        ]);
+        fields.push((label.clone(), row));
     }
 
     // Fused LU: the same LU design after the graph-rewrite optimizer
@@ -185,33 +139,22 @@ fn main() {
             "fusion must preserve the total operation count"
         );
 
-        let old_ns = best_ns(budget_ms, || {
-            black_box(dataflow::run_oldstyle(black_box(&unfused), cfg));
-        });
-        let cold_ns = best_ns(budget_ms, || {
-            black_box(execute(&fused.design, &fused.lib, &fused.external, &one_worker).unwrap());
-        });
+        let old_ns = bench.best_ns(|| dataflow::run_oldstyle(black_box(&unfused), cfg));
+        let cold_ns = bench
+            .best_ns(|| execute(&fused.design, &fused.lib, &fused.external, &one_worker).unwrap());
         let mut session = Session::new(&fused.design, &fused.lib, &one_worker).unwrap();
-        let warm_ns = best_ns(budget_ms, || {
-            black_box(session.run(&fused.external).unwrap());
-        });
-        let _ = write!(
-            json,
-            "  \"lu_n{lu_n}_fused\": {{\n    \
-             \"tasks_before\": {},\n    \
-             \"tasks\": {},\n    \
-             \"total_ops\": {},\n    \
-             \"oldstyle_unfused_best_ns\": {old_ns:.0},\n    \
-             \"cold_exec_best_ns\": {cold_ns:.0},\n    \
-             \"warm_session_best_ns\": {warm_ns:.0},\n    \
-             \"speedup\": {:.2},\n    \
-             \"cold_speedup\": {:.2}\n  }},\n",
-            unfused.design.graph.task_count(),
-            fused.design.graph.task_count(),
-            got.total_ops(),
-            old_ns / warm_ns,
-            old_ns / cold_ns,
-        );
+        let warm_ns = bench.best_ns(|| session.run(&fused.external).unwrap());
+        let row = obj([
+            ("tasks_before", unfused.design.graph.task_count().into()),
+            ("tasks", fused.design.graph.task_count().into()),
+            ("total_ops", got.total_ops().into()),
+            ("oldstyle_unfused_best_ns", old_ns.round().into()),
+            ("cold_exec_best_ns", cold_ns.round().into()),
+            ("warm_session_best_ns", warm_ns.round().into()),
+            ("speedup", round(old_ns / warm_ns, 2).into()),
+            ("cold_speedup", round(old_ns / cold_ns, 2).into()),
+        ]);
+        fields.push((format!("lu_n{lu_n}_fused"), row));
     }
 
     // Map-expanded tiled LU: one dense template node expanded to
@@ -253,36 +196,30 @@ fn main() {
         let s = report.trace.as_ref().expect("traced run").summary();
 
         let mut session = Session::new(&w.design, &w.lib, &one_worker).unwrap();
-        let warm_ns = best_ns(budget_ms, || {
-            black_box(session.run(&w.external).unwrap());
-        });
-        let _ = write!(
-            json,
-            "  \"tiled_lu_n{tn}\": {{\n    \
-             \"tiles\": {tiles},\n    \
-             \"tasks\": {},\n    \
-             \"arcs\": {},\n    \
-             \"total_ops\": {},\n    \
-             \"etf_makespan\": {:.0},\n    \
-             \"pinned_traced_wall_ns\": {},\n    \
-             \"warm_session_best_ns\": {warm_ns:.0},\n    \
-             \"trace\": {{\n      \
-             \"workers\": {},\n      \
-             \"tasks_per_sec\": {:.0},\n      \
-             \"utilization\": {:.3},\n      \
-             \"cow_copies\": {},\n      \
-             \"cow_bytes\": {}\n    }}\n  }},\n",
-            w.design.graph.task_count(),
-            w.design.graph.edge_count(),
-            report.total_ops(),
-            schedule.makespan(),
-            report.wall.as_nanos(),
-            s.workers,
-            s.tasks_per_sec(),
-            s.utilization(),
-            s.cow_copies,
-            s.cow_bytes,
-        );
+        let warm_ns = bench.best_ns(|| session.run(&w.external).unwrap());
+        let row = obj([
+            ("tiles", tiles.into()),
+            ("tasks", w.design.graph.task_count().into()),
+            ("arcs", w.design.graph.edge_count().into()),
+            ("total_ops", report.total_ops().into()),
+            ("etf_makespan", schedule.makespan().round().into()),
+            (
+                "pinned_traced_wall_ns",
+                (report.wall.as_nanos() as f64).into(),
+            ),
+            ("warm_session_best_ns", warm_ns.round().into()),
+            (
+                "trace",
+                obj([
+                    ("workers", s.workers.into()),
+                    ("tasks_per_sec", s.tasks_per_sec().round().into()),
+                    ("utilization", round(s.utilization(), 3).into()),
+                    ("cow_copies", s.cow_copies.into()),
+                    ("cow_bytes", s.cow_bytes.into()),
+                ]),
+            ),
+        ]);
+        fields.push((format!("tiled_lu_n{tn}"), row));
     }
 
     // Repeated-firing workload: the same small-grain design fired
@@ -292,28 +229,21 @@ fn main() {
     {
         let (len, readers) = if quick { (32, 4) } else { (64, 8) };
         let w = dataflow::fanout(len, readers);
+        let workers = 4;
         let pool = ExecOptions {
-            mode: ExecMode::Greedy { workers: 4 },
+            mode: ExecMode::Greedy { workers },
             ..ExecOptions::default()
         };
-        let cold_ns = best_ns(budget_ms, || {
-            black_box(execute(&w.design, &w.lib, &w.external, &pool).unwrap());
-        });
+        let cold_ns = bench.best_ns(|| execute(&w.design, &w.lib, &w.external, &pool).unwrap());
         let mut session = Session::new(&w.design, &w.lib, &pool).unwrap();
-        let warm_ns = best_ns(budget_ms, || {
-            black_box(session.run(&w.external).unwrap());
-        });
-        let _ = write!(
-            json,
-            "  \"repeat_fanout_{len}x{readers}\": {{\n    \
-             \"workers\": 4,\n    \
-             \"cold_exec_best_ns\": {cold_ns:.0},\n    \
-             \"warm_session_best_ns\": {warm_ns:.0},\n    \
-             \"warm_speedup\": {:.2}\n  }}\n",
-            cold_ns / warm_ns,
-        );
+        let warm_ns = bench.best_ns(|| session.run(&w.external).unwrap());
+        let row = obj([
+            ("workers", workers.into()),
+            ("cold_exec_best_ns", cold_ns.round().into()),
+            ("warm_session_best_ns", warm_ns.round().into()),
+            ("warm_speedup", round(cold_ns / warm_ns, 2).into()),
+        ]);
+        fields.push((format!("repeat_fanout_{len}x{readers}"), row));
     }
-    json.push_str("}\n");
-    std::fs::write("BENCH_exec.json", &json).expect("write BENCH_exec.json");
-    print!("{json}");
+    bench.write(fields);
 }

@@ -15,40 +15,10 @@
 //! cargo run --release -p banger-bench --bin bench_serve [-- --quick]
 //! ```
 //!
-//! `--quick` shrinks the measurement budget for CI smoke runs and
-//! writes `target/BENCH_serve.json` instead, so a smoke run never
-//! replaces the committed full-run record.
-//!
-//! Timings are the **minimum of batch means** (same estimator as the
-//! other bench records): the host is small and noisy; the minimum
-//! estimates the uncontended cost most stably. Throughput numbers on a
-//! 1-CPU host measure protocol + dispatch overhead, not parallel
-//! speedup — client threads and the daemon share the core.
-
-use std::fmt::Write as _;
-use std::hint::black_box;
-use std::time::Instant;
-
-/// Minimum batch-mean wall time of `f` in nanoseconds.
-fn best_ns<F: FnMut()>(budget_ms: u128, mut f: F) -> f64 {
-    f(); // warmup
-    let t0 = Instant::now();
-    f();
-    let per = t0.elapsed().as_nanos().max(1);
-    let batch = ((5_000_000 / per).max(1) as u64).min(16_384);
-    let started = Instant::now();
-    let mut best = f64::INFINITY;
-    let mut batches = 0u32;
-    while batches < 3 || (started.elapsed().as_millis() < budget_ms && batches < 1_000) {
-        let s = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        best = best.min(s.elapsed().as_nanos() as f64 / batch as f64);
-        batches += 1;
-    }
-    best
-}
+//! `--quick` also shortens the sustained phase. Timing and output path
+//! follow [`banger_bench::harness`]. Throughput numbers on a 1-CPU host
+//! measure protocol + dispatch overhead, not parallel speedup — client
+//! threads and the daemon share the core.
 
 #[cfg(not(unix))]
 fn main() {
@@ -59,9 +29,12 @@ fn main() {
 fn main() {
     use banger::serve::ops;
     use banger::serve::{Client, ProjectStore, Request, Server};
+    use banger_bench::harness::{obj, round, Bench};
+    use std::hint::black_box;
+    use std::time::Instant;
 
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (budget_ms, sustained_per_client) = if quick { (20, 50u32) } else { (150, 500u32) };
+    let bench = Bench::from_args("serve");
+    let sustained_per_client = if bench.quick() { 50u32 } else { 500u32 };
 
     let lu3 = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -69,14 +42,6 @@ fn main() {
     );
     let lu3 = std::fs::canonicalize(lu3).expect("lu3 example exists");
     let lu3 = lu3.to_str().expect("utf-8 path");
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(
-        json,
-        "  \"host_cpus\": {},",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
 
     // ---- dispatcher-level cold vs warm -------------------------------
     let store = ProjectStore::new();
@@ -91,38 +56,32 @@ fn main() {
     assert!(warm_resp.cached, "second request must be warm");
     assert_eq!(cold_resp.output, warm_resp.output);
 
-    let sched_cold_ns = best_ns(budget_ms, || {
+    let sched_cold_ns = bench.best_ns(|| {
         store.evict(lu3);
-        black_box(ops::handle(&store, black_box(&sched_req)));
+        ops::handle(&store, black_box(&sched_req))
     });
     ops::handle(&store, &sched_req); // re-warm
-    let sched_warm_ns = best_ns(budget_ms, || {
-        black_box(ops::handle(&store, black_box(&sched_req)));
-    });
-    let check_cold_ns = best_ns(budget_ms, || {
+    let sched_warm_ns = bench.best_ns(|| ops::handle(&store, black_box(&sched_req)));
+    let check_cold_ns = bench.best_ns(|| {
         store.evict(lu3);
-        black_box(ops::handle(&store, black_box(&check_req)));
+        ops::handle(&store, black_box(&check_req))
     });
     ops::handle(&store, &check_req);
-    let check_warm_ns = best_ns(budget_ms, || {
-        black_box(ops::handle(&store, black_box(&check_req)));
-    });
-    let _ = write!(
-        json,
-        "  \"schedule\": {{\n    \
-         \"cold_best_ns\": {sched_cold_ns:.0},\n    \
-         \"warm_best_ns\": {sched_warm_ns:.0},\n    \
-         \"warm_speedup\": {:.2}\n  }},\n",
-        sched_cold_ns / sched_warm_ns
-    );
-    let _ = write!(
-        json,
-        "  \"check\": {{\n    \
-         \"cold_best_ns\": {check_cold_ns:.0},\n    \
-         \"warm_best_ns\": {check_warm_ns:.0},\n    \
-         \"warm_speedup\": {:.2}\n  }},\n",
-        check_cold_ns / check_warm_ns
-    );
+    let check_warm_ns = bench.best_ns(|| ops::handle(&store, black_box(&check_req)));
+    let cold_warm = |cold_ns: f64, warm_ns: f64| {
+        obj([
+            ("cold_best_ns", cold_ns.round().into()),
+            ("warm_best_ns", warm_ns.round().into()),
+            ("warm_speedup", round(cold_ns / warm_ns, 2).into()),
+        ])
+    };
+    let mut fields = vec![
+        (
+            "schedule".to_string(),
+            cold_warm(sched_cold_ns, sched_warm_ns),
+        ),
+        ("check".to_string(), cold_warm(check_cold_ns, check_warm_ns)),
+    ];
 
     // ---- socket round-trips against a live daemon --------------------
     let sock = std::env::temp_dir().join(format!("banger-bench-serve-{}.sock", std::process::id()));
@@ -142,18 +101,18 @@ fn main() {
     let mut client = Client::connect(&sock).expect("connect");
     let ping = Request::new("ping");
     client.request(&sched_req).expect("warm the daemon");
-    let ping_ns = best_ns(budget_ms, || {
-        black_box(client.request(&ping).expect("ping"));
-    });
-    let sched_rt_ns = best_ns(budget_ms, || {
-        black_box(client.request(&sched_req).expect("schedule"));
-    });
-    let _ = write!(
-        json,
-        "  \"socket\": {{\n    \
-         \"ping_roundtrip_best_ns\": {ping_ns:.0},\n    \
-         \"schedule_warm_roundtrip_best_ns\": {sched_rt_ns:.0}\n  }},\n"
-    );
+    let ping_ns = bench.best_ns(|| client.request(&ping).expect("ping"));
+    let sched_rt_ns = bench.best_ns(|| client.request(&sched_req).expect("schedule"));
+    fields.push((
+        "socket".to_string(),
+        obj([
+            ("ping_roundtrip_best_ns", ping_ns.round().into()),
+            (
+                "schedule_warm_roundtrip_best_ns",
+                sched_rt_ns.round().into(),
+            ),
+        ]),
+    ));
     // Free its handler: the sustained phase measures the whole pool.
     drop(client);
 
@@ -185,17 +144,16 @@ fn main() {
     let elapsed = started.elapsed();
     let total = u64::from(clients) * u64::from(sustained_per_client);
     let req_per_sec = total as f64 / elapsed.as_secs_f64();
-    let _ = write!(
-        json,
-        "  \"sustained\": {{\n    \
-         \"clients\": {clients},\n    \
-         \"handlers\": {},\n    \
-         \"requests\": {total},\n    \
-         \"elapsed_ms\": {},\n    \
-         \"req_per_sec\": {req_per_sec:.0}\n  }},\n",
-        banger::serve::server::pool_size(),
-        elapsed.as_millis()
-    );
+    fields.push((
+        "sustained".to_string(),
+        obj([
+            ("clients", clients.into()),
+            ("handlers", banger::serve::server::pool_size().into()),
+            ("requests", total.into()),
+            ("elapsed_ms", (elapsed.as_millis() as f64).into()),
+            ("req_per_sec", req_per_sec.round().into()),
+        ]),
+    ));
 
     // Clean shutdown over the protocol.
     Client::connect(&sock)
@@ -204,23 +162,15 @@ fn main() {
         .expect("shutdown");
     handle.join().expect("server thread");
 
-    let _ = write!(
-        json,
-        "  \"notes\": \"cold = entry evicted before each request (parse+diagnose+schedule+render \
-         rerun); warm = resident entry, one stat+read+rehash per request. Single small host; \
-         minimum-of-batch-means estimator; with host_cpus=1 the sustained figure measures \
-         protocol+dispatch overhead under contention, not parallel scaling.\"\n}}\n"
-    );
-
-    print!("{json}");
-    let out = if quick {
-        std::fs::create_dir_all("target").expect("create target/");
-        "target/BENCH_serve.json"
-    } else {
-        "BENCH_serve.json"
-    };
-    std::fs::write(out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("wrote {out}");
+    fields.push((
+        "notes".to_string(),
+        "cold = entry evicted before each request (parse+diagnose+schedule+render rerun); \
+         warm = resident entry, one stat+read+rehash per request. Single small host; with \
+         host_cpus=1 the sustained figure measures protocol+dispatch overhead under \
+         contention, not parallel scaling."
+            .into(),
+    ));
+    bench.write(fields);
 
     assert!(
         sched_cold_ns / sched_warm_ns >= 5.0,

@@ -1,5 +1,5 @@
-//! Dataflow data-movement workloads, shared between the `bench_exec`
-//! binary (BENCH_exec.json) and the Criterion `exec` group.
+//! Dataflow data-movement workloads for the `bench_exec` binary
+//! (BENCH_exec.json).
 //!
 //! Three shapes stress the executor's gather/publish path rather than
 //! its compute: a **wide fan-out** (one producer's large array consumed

@@ -4,8 +4,9 @@
 //! The workspace is deliberately serde-free. The diagnostics report,
 //! the Chrome trace export, the weight report and the daemon protocol
 //! all escape strings through [`escape_into`]; the daemon also parses
-//! with [`parse`]. Only what those need: no comments, no trailing
-//! commas, numbers as `f64`.
+//! with [`parse`], and the `BENCH_*.json` records are written with
+//! [`Json::render_pretty`]. Only what those need: no comments, no
+//! trailing commas, numbers as `f64`.
 
 use std::fmt::Write as _;
 
@@ -72,11 +73,22 @@ impl Json {
     /// as `null` (JSON has no inf/NaN).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.render_into(&mut out, None);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Renders the value as indented JSON text: one array element or
+    /// object field per line, two spaces per level, so a committed file
+    /// diffs one field at a time. Parses back to the same value as
+    /// [`render`](Json::render).
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, Some(0));
+        out
+    }
+
+    /// `depth` is `None` for compact output, else the current indent level.
+    fn render_into(&self, out: &mut String, depth: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -89,28 +101,77 @@ impl Json {
             }
             Json::Str(s) => quote_into(s, out),
             Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.render_into(out);
-                }
-                out.push(']');
+                render_seq(out, ('[', ']'), items.iter().map(|v| (None, v)), depth);
             }
             Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    quote_into(k, out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
+                let fields = pairs.iter().map(|(k, v)| (Some(k.as_str()), v));
+                render_seq(out, ('{', '}'), fields, depth);
             }
         }
+    }
+}
+
+/// Renders an array (no keys) or an object (every item keyed) between
+/// `brackets`: compact when `depth` is `None`, else indented below level
+/// `depth`.
+fn render_seq<'a>(
+    out: &mut String,
+    brackets: (char, char),
+    items: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+    depth: Option<usize>,
+) {
+    let empty = items.len() == 0;
+    let newline = |out: &mut String, level: usize| {
+        out.push('\n');
+        out.push_str(&"  ".repeat(level));
+    };
+    out.push(brackets.0);
+    for (i, (key, v)) in items.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if let Some(d) = depth {
+            newline(out, d + 1);
+        }
+        if let Some(k) = key {
+            quote_into(k, out);
+            out.push_str(if depth.is_some() { ": " } else { ":" });
+        }
+        v.render_into(out, depth.map(|d| d + 1));
+    }
+    if let (Some(d), false) = (depth, empty) {
+        newline(out, d);
+    }
+    out.push(brackets.1);
+}
+
+// Counts and sizes convert to `Num`; integers above 2^53 round.
+macro_rules! json_num_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+json_num_from!(f64, u32, u64, usize);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
     }
 }
 

@@ -8,7 +8,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Any string, control characters, quotes, backslashes and
-    /// non-ASCII included, survives escape -> parse.
+    /// non-ASCII included, survives escape -> parse; nested in an object
+    /// beside any number, it survives the indented renderer too, a
+    /// non-finite number coming back as null.
     #[test]
     fn any_string_survives_escape_then_parse(
         codes in prop::collection::vec(
@@ -19,12 +21,27 @@ proptest! {
                 2 => 0x80u32..0x11_0000,
             ],
             0..48,
-        )
+        ),
+        x in prop_oneof![
+            3 => -1e12f64..1e12,
+            1 => Just(f64::INFINITY),
+            1 => Just(f64::NEG_INFINITY),
+            1 => Just(f64::NAN),
+        ],
     ) {
         let s: String = codes.into_iter().filter_map(char::from_u32).collect();
         let quoted = format!("\"{}\"", escape(&s));
         prop_assert_eq!(parse(&quoted), Ok(Json::Str(s.clone())));
-        prop_assert_eq!(parse(&Json::Str(s.clone()).render()), Ok(Json::Str(s)));
+        prop_assert_eq!(parse(&Json::Str(s.clone()).render()), Ok(Json::Str(s.clone())));
+
+        let doc = |n: Json| {
+            Json::Obj(vec![
+                (s.clone(), Json::Arr(vec![Json::Str(s.clone()), n, Json::Arr(vec![])])),
+                ("empty".into(), Json::Obj(vec![])),
+            ])
+        };
+        let back = if x.is_finite() { Json::Num(x) } else { Json::Null };
+        prop_assert_eq!(parse(&doc(Json::Num(x)).render_pretty()), Ok(doc(back)));
     }
 }
 
